@@ -69,9 +69,16 @@ def _read_questions(path) -> list[list[str]]:
         return [line.split() for line in fh.read().splitlines() if line.strip()]
 
 
+def _config_file(cls, path):
+    try:
+        return cls.from_json(_require(path, "config file"))
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"bad config {path}: {exc}")
+
+
 def _load_config(cls, config_path, preset: str, seed):
     if config_path is not None:
-        cfg = cls.from_json(_require(config_path, "config file"))
+        cfg = _config_file(cls, config_path)
     elif preset == "desk":
         cfg = cls.desk()
     else:
@@ -163,7 +170,7 @@ def _cmd_train_ext(args) -> int:
 
 
 def _cmd_harvest(args) -> int:
-    cfg = PipelineConfig.from_json(_require(args.config, "config file"))
+    cfg = _config_file(PipelineConfig, args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     for path in cfg.paths():
@@ -207,9 +214,16 @@ def _cmd_eval_qg(args) -> int:
     return 0
 
 
+def _span_file(path, what: str):
+    try:
+        return read_span_records(_require(path, what))
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
 def _cmd_eval_ext(args) -> int:
-    predicted = read_span_records(_require(args.predicted, "predicted span file"))
-    gold = read_span_records(_require(args.gold, "gold span file"))
+    predicted = _span_file(args.predicted, "predicted span file")
+    gold = _span_file(args.gold, "gold span file")
     report = overlap_metrics(predicted, gold)
     if args.json:
         # f1 is a derived property, so asdict alone would drop it
@@ -247,9 +261,13 @@ def _cmd_stats(args) -> int:
     if args.records:
         questions = []
         with open(_require(args.records, "records file"), "r", encoding="utf-8") as fh:
-            for line in fh.read().splitlines():
-                if line.strip():
+            for number, line in enumerate(fh.read().splitlines(), 1):
+                if not line.strip():
+                    continue
+                try:
                     questions.append(json.loads(line)["question"].split())
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise UsageError(f"{args.records}:{number}: not a harvest record ({exc!r})")
     else:
         questions = _read_questions(args.questions)
     if not questions:

@@ -60,7 +60,7 @@ class ExtractorModel:
         config: ExtractorConfig,
         word_vocab: Vocabulary,
         char_vocab: Vocabulary,
-        rng: RngState,
+        rng: RngState | None,
         ner_tagger: NerTagger = rule_ner_tags,
     ):
         self.config = config

@@ -1,8 +1,9 @@
 """Coreference-aware question generation: gated feature embeddings,
 BiLSTM encoder, attention-and-copy LSTM decoder, training with
-dev-perplexity selection, and protected beam search."""
+dev-perplexity selection, and protected beam search, run in lockstep
+over many sentences with a tape-free batched decoder step."""
 
-from .beam import BeamResult, beam_search
+from .beam import BeamResult, beam_search, beam_search_many
 from .config import GeneratorConfig
 from .data import DynamicVocab, GeneratorExample
 from .model import DecodeStep, EncoderOutput, QGModel, gate_coref_features
@@ -18,6 +19,7 @@ __all__ = [
     "gate_coref_features",
     "BeamResult",
     "beam_search",
+    "beam_search_many",
     "TrainReport",
     "train_qg",
 ]

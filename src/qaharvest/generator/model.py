@@ -12,6 +12,15 @@ Shape conventions, with W = word_dim, H = hidden_dim, F = feature dims:
 encoder input is (F_coref + F_ans + W,), encoder states are (H,) per
 direction, token vectors h_i and the decoder state are (2H,), and the
 output projection maps (4H,) -> vocabulary logits.
+
+Training and the gradient audit decode through ``decode_step`` on the
+autodiff tape. Generation builds no tape for decoding: ``generate_many``
+runs one beam search per sentence, all in lockstep, and each step scores
+every live hypothesis of every search with ``decode_rows``, which stacks
+their states into (rows x 2H) matrices and reads ``out.proj`` once for
+the whole batch. It shares the sigmoid, softmax and LSTM formulas with
+the tape ops and matches ``decode_step`` bit for bit (with one BLAS
+thread; see ``matvec_rows``).
 """
 
 from __future__ import annotations
@@ -34,8 +43,10 @@ from ..numerics import (
     concat,
     dot,
     log,
+    lstm_rows,
     lstm_step,
     matmul,
+    matvec_rows,
     pad_to,
     pick,
     relu,
@@ -43,9 +54,12 @@ from ..numerics import (
     scatter_add,
     sigmoid,
     softmax,
+    stable_sigmoid,
+    stable_softmax,
     stack,
     tsum,
 )
+from .beam import beam_search_many
 from .config import GeneratorConfig
 from .data import DynamicVocab, GeneratorExample
 
@@ -100,7 +114,7 @@ def gate_coref_features(
 
 
 class QGModel:
-    def __init__(self, config: GeneratorConfig, vocab: Vocabulary, rng: RngState):
+    def __init__(self, config: GeneratorConfig, vocab: Vocabulary, rng: RngState | None):
         self.config = config
         self.vocab = vocab
         store = ParameterStore()
@@ -249,32 +263,74 @@ class QGModel:
 
     # ------------------------------------------------------------- search
 
-    def step_fn(self, enc: EncoderOutput, dyn: DynamicVocab):
-        """Adapter for the beam-search core: maps (previous dynamic id,
-        decoder state) to (log-probability vector, next state)."""
+    def decode_rows(self, sources: list[tuple[np.ndarray, DynamicVocab]], rows: list) -> list:
+        """Tape-free ``decode_step`` for a batch of hypotheses.
 
-        def step(prev_id: int, state: tuple[Tensor, Tensor]):
-            out = self.decode_step(self.prev_embedding(prev_id), state, enc, dyn)
-            with np.errstate(divide="ignore"):
-                logp = np.log(out.dist.data)
-            return logp, out.state
+        ``sources`` holds each search's encoder states (n x 2H) and
+        dynamic vocabulary; each row is (search index, previous dynamic
+        id, (h, c)). Returns one (log-probability vector over that
+        search's dynamic vocabulary, (h, c)) pair per row. Every row's
+        values equal those of ``decode_step`` with dropout off and do not
+        depend on the other rows: every matrix-vector product goes
+        through ``matvec_rows``, which walks ``out.proj`` once for the
+        whole batch.
+        """
+        n_vocab = len(self.vocab)
+        prev = [UNK_ID if prev_id >= n_vocab else prev_id for _, prev_id, _ in rows]
+        h_prev = np.stack([state[0] for _, _, state in rows])
+        c_prev = np.stack([state[1] for _, _, state in rows])
+        s_h, s_c = lstm_rows(self.word_emb.data[prev], h_prev, c_prev, self.dec)
+        # attention scores use the previous decoder state as the query
+        queries = matvec_rows(self.attn_weight.data, h_prev)
+        search_of = np.array([s for s, _, _ in rows])
+        context = np.empty_like(h_prev)
+        alphas = {}
+        for s in np.unique(search_of):
+            idx = np.flatnonzero(search_of == s)
+            hidden = sources[s][0]
+            alpha = stable_softmax(matvec_rows(hidden, queries[idx]))
+            context[idx] = np.matmul(alpha[:, None, :], hidden)[:, 0, :]
+            alphas[s] = (idx, alpha)
+        p_vocab = stable_softmax(matvec_rows(self.out_proj.data, np.concatenate([context, s_h], axis=1)))
+        ccw, csw = self.copy_context_weight.data, self.copy_state_weight.data
+        # one gate per row from two vector inner products, the same calls
+        # decode_step makes
+        lam = [stable_sigmoid(ccw @ ctx + csw @ out_h) for ctx, out_h in zip(context, s_h)]
+        out: list = [None] * len(rows)
+        for s, (idx, alpha) in alphas.items():
+            dyn = sources[s][1]
+            for i, a in zip(idx, alpha):
+                p_copy = np.zeros(dyn.size)
+                np.add.at(p_copy, dyn.copy_ids, a)
+                p_gen = np.zeros(dyn.size)
+                p_gen[:n_vocab] = p_vocab[i]
+                with np.errstate(divide="ignore"):
+                    logp = np.log(lam[i] * p_copy + (1.0 - lam[i]) * p_gen)
+                out[i] = (logp, (s_h[i], s_c[i]))
+        return out
 
-        return step
+    def generate_many(self, examples: list[GeneratorExample], beam_size: int | None = None) -> list:
+        """Beam-search one question per transformed sentence, all of the
+        searches in lockstep: each decoder step scores every live
+        hypothesis of every search in one ``decode_rows`` call. Returns
+        (question tokens, BeamResult) per example, in order."""
+        sources = []
+        init_states = []
+        for ex in examples:
+            enc = self.encode(self.embed_inputs(ex), ex.tokens)
+            sources.append((enc.hidden.data, DynamicVocab(self.vocab, ex.tokens)))
+            h, c = self.initial_state(enc)
+            init_states.append((h.data, c.data))
+        results = beam_search_many(
+            lambda rows: self.decode_rows(sources, rows),
+            init_states,
+            start_id=SOS_ID,
+            eos_id=EOS_ID,
+            beam_size=self.config.beam_size if beam_size is None else beam_size,
+            max_len=self.config.max_decode_len,
+        )
+        return [([dyn.token_of(i) for i in r.token_ids], r) for (_, dyn), r in zip(sources, results)]
 
     def generate(self, ex: GeneratorExample, beam_size: int | None = None):
         """Beam-search a question for one transformed sentence."""
-        from .beam import beam_search
-
-        inputs = self.embed_inputs(ex)
-        enc = self.encode(inputs, ex.tokens)
-        dyn = DynamicVocab(self.vocab, ex.tokens)
-        result = beam_search(
-            self.step_fn(enc, dyn),
-            self.initial_state(enc),
-            start_id=SOS_ID,
-            eos_id=EOS_ID,
-            beam_size=beam_size or self.config.beam_size,
-            max_len=self.config.max_decode_len,
-        )
-        tokens = [dyn.token_of(i) for i in result.token_ids]
-        return tokens, result
+        return self.generate_many([ex], beam_size)[0]

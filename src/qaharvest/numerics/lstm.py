@@ -4,15 +4,20 @@ Gate blocks are stacked row-wise in the order [input; forget; output;
 candidate], so one matmul per step covers all four gates. With all
 parameters zero and c_prev = 0 the cell outputs (0, 0): the gates sit at
 sigmoid(0) = 0.5 and the candidate at tanh(0) = 0.
+
+``lstm_step`` builds tape nodes for training; ``lstm_rows`` is the same
+step on plain arrays for a batch of rows at once, for inference.
 """
 
 from __future__ import annotations
 
-from .params import Parameter, ParameterStore
-from .rng import RngState
-from .tensor import Tensor, add, matmul, mul, narrow, sigmoid, tanh
+import numpy as np
 
-__all__ = ["LstmCellParams", "lstm_step"]
+from .params import ParameterStore
+from .rng import RngState
+from .tensor import Tensor, add, matmul, matvec_rows, mul, narrow, sigmoid, stable_sigmoid, tanh
+
+__all__ = ["LstmCellParams", "lstm_step", "lstm_rows"]
 
 
 class LstmCellParams:
@@ -41,3 +46,16 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmCellParams) -> t
     c = add(mul(gate_forget, c_prev), mul(gate_in, candidate))
     h_new = mul(gate_out, tanh(c))
     return h_new, c
+
+
+def lstm_rows(xs: np.ndarray, hs: np.ndarray, cs: np.ndarray, p: LstmCellParams) -> tuple[np.ndarray, np.ndarray]:
+    """``lstm_step`` on every row of (xs, hs, cs), without a tape; each
+    output row equals that step's result for the same inputs bit for bit
+    (the products go through ``matvec_rows``)."""
+    h = p.hidden_dim
+    pre = matvec_rows(p.w_input.data, xs) + matvec_rows(p.w_hidden.data, hs) + p.bias.data
+    gate_in = stable_sigmoid(pre[:, :h])
+    gate_forget = stable_sigmoid(pre[:, h : 2 * h])
+    gate_out = stable_sigmoid(pre[:, 2 * h : 3 * h])
+    c = gate_forget * cs + gate_in * np.tanh(pre[:, 3 * h :])
+    return gate_out * np.tanh(c), c

@@ -138,8 +138,7 @@ class ParameterStore:
                 raise ValueError(f"shape mismatch for {name}: file {shape}, model {p.data.shape}")
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1
             start = entry["offset"]
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
-            p.data = arr.reshape(shape).astype(np.float64).copy()
+            p.data[...] = np.frombuffer(blob, dtype="<f8", count=count, offset=start).reshape(shape)
             seen.add(name)
         missing = set(self._params) - seen
         if missing:

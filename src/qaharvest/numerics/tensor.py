@@ -8,6 +8,10 @@ and the indexing ops used for embeddings, CRF scoring, and the copy
 distribution. Gradients accumulate into ``.grad`` (a plain ndarray) on
 tensors created with ``requires_grad=True``.
 
+The sigmoid and softmax formulas and a batched matrix-vector product are
+also exposed as plain ndarray functions, which tape-free inference calls
+to get the same values the tape ops compute, bit for bit.
+
 Tensors are safe for concurrent read-only use; graph construction and
 backward passes belong to a single owner.
 """
@@ -17,6 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "stable_sigmoid",
+    "stable_softmax",
+    "matvec_rows",
     "Tensor",
     "as_tensor",
     "sigmoid",
@@ -41,6 +48,55 @@ __all__ = [
     "pad_to",
     "reshape",
 ]
+
+
+# ------------------------------------------------ plain ndarray forwards
+#
+# The formulas below are shared by the tape ops and by tape-free
+# inference, so both compute bit-identical values.
+
+# Rows of a matrix handed to one matrix-vector product at a time; a block
+# of 64 rows x 1024 float64 columns (512 KiB) stays in cache while every
+# vector of a batch is multiplied against it.
+_MATVEC_BLOCK_ROWS = 64
+
+
+def stable_sigmoid(d: np.ndarray) -> np.ndarray:
+    """Logistic function, split by sign so exp never overflows."""
+    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+
+
+def stable_softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, shifted by the maximum first."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def matvec_rows(w: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Row i of the result is ``w @ xs[i]``, bit for bit.
+
+    Each row comes from the same matrix-vector BLAS call that ``w @ x``
+    makes, so it does not depend on the batch it was computed in; a GEMM
+    would sum in another order and differ in the last bits. Walking ``w``
+    in row blocks with the whole batch per block reads ``w`` from memory
+    once per call instead of once per vector. (A BLAS running one large
+    product on several threads may split it differently from the blocks
+    and round differently; with one BLAS thread the rows are identical.)
+    """
+    rows = w.shape[0]
+    starts = list(range(0, rows, _MATVEC_BLOCK_ROWS))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        # numpy turns a one-row product into an inner product, which sums
+        # in another order; the last row joins the block before it
+        starts.pop()
+    out = np.empty((xs.shape[0], rows))
+    cols = xs[:, :, None]
+    for r0, r1 in zip(starts, starts[1:] + [rows]):
+        out[:, r0:r1] = np.matmul(w[r0:r1], cols)[:, :, 0]
+    return out
+
+
+# ---------------------------------------------------------------- tensors
 
 
 class Tensor:
@@ -202,9 +258,7 @@ def dot(a, b) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    # Split by sign to avoid overflow in exp.
-    d = x.data
-    out = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    out = stable_sigmoid(x.data)
 
     def backward(g):
         _accum(x, g * out * (1.0 - out))
@@ -284,9 +338,7 @@ def softmax(x) -> Tensor:
         raise ValueError("softmax expects a vector; use softmax_rows for matrices")
     if x.data.size == 0:
         raise ValueError("empty distribution")
-    z = x.data - x.data.max()
-    e = np.exp(z)
-    out = e / e.sum()
+    out = stable_softmax(x.data)
 
     def backward(g):
         _accum(x, out * (g - float(g @ out)))
@@ -301,9 +353,7 @@ def softmax_rows(x) -> Tensor:
         raise ValueError("softmax_rows expects a matrix")
     if x.data.shape[1] == 0:
         raise ValueError("empty distribution")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = stable_softmax(x.data)
 
     def backward(g):
         inner = (g * out).sum(axis=1, keepdims=True)

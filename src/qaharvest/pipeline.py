@@ -2,8 +2,10 @@
 
 For each paragraph: predict answer spans, cap them, and for every
 surviving span rewrite the span's sentence with coreference antecedents
-(context = the preceding sentences of the same paragraph), tag the
-answer position, and beam-search a question. One record per (span,
+(context = the preceding sentences of the same paragraph) and tag the
+answer position. Then the beam searches of all of the paragraph's spans
+decode in lockstep (``QGModel.generate_many``): each decoder step scores
+every live hypothesis of every span in one batch. One record per (span,
 question); a paragraph with no spans is skipped and counted.
 
 The same sentence-rewriting path builds generator training examples
@@ -29,7 +31,7 @@ from .extractor.model import ExtractorModel
 from .generator.config import GeneratorConfig
 from .generator.data import GeneratorExample
 from .generator.model import QGModel
-from .numerics import ParameterStore, RngState
+from .numerics import ParameterStore
 
 __all__ = [
     "transform_for_generation",
@@ -110,13 +112,17 @@ class HarvestReport:
     cross_sentence_dropped: int = 0
     unterminated: int = 0
     question_marks_appended: int = 0
+    decode_steps: int = 0  # batched decoder steps, one per paragraph and token position
+    decode_rows: int = 0  # hypotheses scored over those steps
 
     def summary(self) -> str:
+        rows_per_step = self.decode_rows / self.decode_steps if self.decode_steps else 0.0
         return (
             f"harvested {self.records} records from {self.paragraphs} paragraphs "
             f"({self.skipped_no_spans} without spans); capped {self.spans_capped} spans, "
             f"dropped {self.cross_sentence_dropped} cross-sentence; "
-            f"{self.unterminated} unterminated, {self.question_marks_appended} question marks appended"
+            f"{self.unterminated} unterminated, {self.question_marks_appended} question marks appended; "
+            f"{self.decode_steps} decode steps, {rows_per_step:.1f} hypotheses per step"
         )
 
 
@@ -141,9 +147,12 @@ def harvest(
         if not spans:
             report.skipped_no_spans += 1
             continue
-        for span in spans:
-            example = transform_for_generation(paragraph, span, scorer)
-            tokens, beam = generator.generate(example, beam_size)
+        examples = [transform_for_generation(paragraph, span, scorer) for span in spans]
+        generated = generator.generate_many(examples, beam_size)
+        # the searches start together, so the longest one counts the steps
+        report.decode_steps += max(beam.steps for _, beam in generated)
+        report.decode_rows += sum(beam.rows for _, beam in generated)
+        for span, (tokens, beam) in zip(spans, generated):
             flags = list(beam.flags)
             if "unterminated" in flags:
                 report.unterminated += 1
@@ -202,18 +211,22 @@ def write_span_records(rows: list[dict], path) -> None:
 
 
 def read_span_records(path) -> dict[tuple[str, int], list[tuple[int, int, int]]]:
-    """Span JSONL grouped per paragraph for the overlap metrics."""
+    """Span JSONL grouped per paragraph for the overlap metrics. A line
+    that is not a JSON object with the span fields raises ValueError
+    naming the file and line."""
     grouped: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            key = (row["article_id"], row["paragraph_index"])
-            grouped.setdefault(key, []).append(
-                (row["sentence_index"], row["token_start"], row["token_end"])
-            )
+            try:
+                row = json.loads(line)
+                key = (row["article_id"], row["paragraph_index"])
+                span = (row["sentence_index"], row["token_start"], row["token_end"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{number}: not a span record ({exc!r})") from None
+            grouped.setdefault(key, []).append(span)
     return grouped
 
 
@@ -236,6 +249,11 @@ class PipelineConfig:
     max_decode_len: int = 30
     span_cap: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("beam_size", "max_decode_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def paths(self) -> list[str]:
         return [
@@ -269,11 +287,13 @@ def _config_from_meta(meta: dict, cls, preset: str):
 
 def load_generator(checkpoint_path, word_vocab_path, preset: str = "desk") -> QGModel:
     """Rebuild a generator from its checkpoint; the embedded config wins
-    over the preset. Shapes are verified against the checkpoint."""
+    over the preset. Shapes are verified against the checkpoint. The
+    model is built with zero weights, since the checkpoint overwrites
+    every one of them."""
     meta = ParameterStore.read_manifest(checkpoint_path).get("meta", {})
     config = _config_from_meta(meta, GeneratorConfig, preset)
     vocab = Vocabulary.load(word_vocab_path)
-    model = QGModel(config, vocab, RngState(0))
+    model = QGModel(config, vocab, None)
     model.store.load(checkpoint_path)
     return model
 
@@ -283,6 +303,6 @@ def load_extractor(checkpoint_path, word_vocab_path, char_vocab_path, preset: st
     config = _config_from_meta(meta, ExtractorConfig, preset)
     words = Vocabulary.load(word_vocab_path)
     chars = Vocabulary.load(char_vocab_path)
-    model = ExtractorModel(config, words, chars, RngState(0))
+    model = ExtractorModel(config, words, chars, None)
     model.store.load(checkpoint_path)
     return model

@@ -216,3 +216,62 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_help_exits_0(capsys):
     assert entry(["--help"]) == 0
     assert "qaharvest" in capsys.readouterr().out
+
+
+# ------------------------------------------- malformed input, one line
+
+
+def assert_one_line_usage_error(argv, capsys, *needles):
+    """Exit 2 with a single 'error:' line on stderr and no traceback."""
+    capsys.readouterr()
+    assert entry(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+def test_stats_non_json_record_exits_2(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps({"question": "who won ?"}) + "\nnot json at all\n")
+    assert_one_line_usage_error(["stats", "--records", str(path)], capsys, "records.jsonl:2")
+
+
+def test_eval_ext_span_row_missing_field_exits_2(tmp_path, gold_span_file, capsys):
+    rows = [json.loads(line) for line in open(gold_span_file, encoding="utf-8")]
+    del rows[1]["article_id"]
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    argv = ["eval-ext", "--predicted", str(broken), "--gold", gold_span_file]
+    assert_one_line_usage_error(argv, capsys, "broken.jsonl:2", "article_id")
+
+
+def test_harvest_config_unknown_field_exits_2(tmp_path, corpus_file, capsys):
+    path = tmp_path / "pipe.json"
+    PipelineConfig("e.ckpt", "q.ckpt", "qv.json", "ew.json", "ec.json").to_json(path)
+    raw = json.loads(path.read_text())
+    raw["surprise"] = 1
+    path.write_text(json.dumps(raw))
+    argv = ["harvest", "--config", str(path), "--data", corpus_file, "--out", str(tmp_path / "r.jsonl")]
+    assert_one_line_usage_error(argv, capsys, "surprise")
+
+
+@pytest.mark.parametrize("command", ["train-qg", "train-ext"])
+def test_training_config_unknown_field_exits_2(tmp_path, corpus_file, capsys, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"surprise": 1}))
+    argv = [command, "--data", corpus_file, "--out", str(tmp_path / "out"), "--config", str(path)]
+    assert_one_line_usage_error(argv, capsys, "surprise")
+
+
+@pytest.mark.parametrize("field", ["beam_size", "max_decode_len"])
+def test_harvest_config_width_below_one_exits_2(tmp_path, corpus_file, capsys, field):
+    path = tmp_path / "pipe.json"
+    PipelineConfig("e.ckpt", "q.ckpt", "qv.json", "ew.json", "ec.json").to_json(path)
+    raw = json.loads(path.read_text())
+    raw[field] = 0
+    path.write_text(json.dumps(raw))
+    argv = ["harvest", "--config", str(path), "--data", corpus_file, "--out", str(tmp_path / "r.jsonl")]
+    assert_one_line_usage_error(argv, capsys, field)

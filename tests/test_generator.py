@@ -12,6 +12,7 @@ from qaharvest.generator import (
     GeneratorExample,
     QGModel,
     beam_search,
+    beam_search_many,
     gate_coref_features,
     train_qg,
 )
@@ -33,6 +34,7 @@ from synth import (
     TRAP_DEFAULT,
     enumerate_best,
     make_toy,
+    qg_overfit_corpus,
 )
 
 WORDS = ["they", "the", "panthers", "defeated", "arizona", "cardinals", "who", "did", "defeat", "?", "49", "win"]
@@ -430,6 +432,45 @@ def test_beam_deterministic():
     assert a.token_ids == b.token_ids and a.logp == b.logp
 
 
+def test_lockstep_searches_match_separate_searches():
+    toys = [
+        make_toy(GARDEN_PATH, GARDEN_DEFAULT),
+        make_toy(GREEDY_TRAP, TRAP_DEFAULT),
+        make_toy({}, [0.6, 0.4, 0.0]),  # never terminates
+    ]
+    batches = []
+
+    def step_rows(rows):
+        batches.append([s for s, _, _ in rows])
+        return [toys[s](prev, state) for s, prev, state in rows]
+
+    for beam_size in (1, 3):
+        batches.clear()
+        together = beam_search_many(step_rows, [()] * len(toys), SOS_START, EOS, beam_size=beam_size, max_len=5)
+        for step, got in zip(toys, together):
+            alone = beam_search(step, (), SOS_START, EOS, beam_size=beam_size, max_len=5)
+            assert (got.token_ids, got.logp, got.terminated, got.flags) == (
+                alone.token_ids,
+                alone.logp,
+                alone.terminated,
+                alone.flags,
+            )
+        # one decoder call per step, rows grouped by search in order
+        assert len(batches) == max(r.steps for r in together)
+        assert all(b == sorted(b) for b in batches)
+        assert sum(len(b) for b in batches) == sum(r.rows for r in together)
+        if beam_size == 1:
+            # greedy garden path: 0, 0, EOS; the capped search steps on
+            assert together[0].steps == 3 < together[2].steps == 5
+
+
+def test_beam_search_many_rejects_bad_widths():
+    with pytest.raises(ValueError):
+        beam_search_many(lambda rows: [], [()], SOS_START, EOS, beam_size=0)
+    with pytest.raises(ValueError):
+        beam_search_many(lambda rows: [], [()], SOS_START, EOS, max_len=0)
+
+
 def test_beam_model_integration_shapes():
     m = tiny_model(seed=30)
     tokens, result = m.generate(example(), beam_size=3)
@@ -502,3 +543,88 @@ def test_train_csv_log(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_nll,dev_ppl"
     assert len(lines) == 3
+
+
+# ------------------------------------------------- tape-free decoding
+
+
+def desk_model(seed=3):
+    _, examples = qg_overfit_corpus(2)
+    # question words only, so source words outside them decode by copying
+    words = [t for ex in examples for t in ex.question]
+    model = QGModel(GeneratorConfig.desk(max_decode_len=10), build_vocab(words, 200), RngState(seed))
+    return model, examples
+
+
+def test_decode_rows_match_tape_decode_step():
+    m, examples = desk_model()
+    rng = RngState(5)
+    sources = []
+    for ex in examples[:3]:
+        enc = m.encode(m.embed_inputs(ex), ex.tokens)
+        sources.append((enc, DynamicVocab(m.vocab, ex.tokens)))
+    rows = []
+    for s, (enc, dyn) in enumerate(sources):
+        initial = tuple(t.data for t in m.initial_state(enc))
+        # the start token, a copied source word outside the target
+        # vocabulary (decoded through the unknown-word row), and random
+        # states with random previous tokens
+        rows.append((s, SOS_ID, initial))
+        rows.append((s, dyn.size - 1, initial))
+        for _ in range(2):
+            h = 2 * m.config.hidden_dim
+            state = (rng.uniform(-1.0, 1.0, (h,)), rng.uniform(-1.0, 1.0, (h,)))
+            rows.append((s, rng.next_below(dyn.size), state))
+    assert all(dyn.size > len(m.vocab) for _, dyn in sources)
+    batch = m.decode_rows([(enc.hidden.data, dyn) for enc, dyn in sources], rows)
+    assert len(batch) == len(rows)
+    for (s, prev, (h, c)), (logp, (next_h, next_c)) in zip(rows, batch):
+        enc, dyn = sources[s]
+        step = m.decode_step(m.prev_embedding(prev), (Tensor(h), Tensor(c)), enc, dyn)
+        assert logp.shape == (dyn.size,)
+        np.testing.assert_allclose(logp, np.log(step.dist.data), rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(next_h, step.state[0].data, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(next_c, step.state[1].data, rtol=1e-10, atol=0.0)
+
+
+def reference_generate(m, ex, beam_size):
+    """The search as it ran before lockstep decoding: one tape
+    decode_step per hypothesis through the single-search adapter."""
+    enc = m.encode(m.embed_inputs(ex), ex.tokens)
+    dyn = DynamicVocab(m.vocab, ex.tokens)
+
+    def step(prev_id, state):
+        out = m.decode_step(m.prev_embedding(prev_id), state, enc, dyn)
+        with np.errstate(divide="ignore"):
+            return np.log(out.dist.data), out.state
+
+    result = beam_search(step, m.initial_state(enc), SOS_ID, EOS_ID, beam_size, m.config.max_decode_len)
+    return [dyn.token_of(i) for i in result.token_ids], result
+
+
+def test_generate_many_matches_per_hypothesis_tape_search():
+    _, examples = qg_overfit_corpus(2)
+    cfg = GeneratorConfig.desk(word_dim=8, hidden_dim=8, coref_feat_dim=2, answer_feat_dim=2, epochs=8, max_decode_len=10)
+    m = QGModel(cfg, build_vocab([t for ex in examples for t in ex.question], 200), RngState(2))
+    # a little training makes the searches end at different steps
+    train_qg(m, examples, examples, cfg, RngState(2))
+    assert len({len(ex.tokens) for ex in examples}) >= 3
+    for beam_size in (1, 3):
+        got = m.generate_many(examples, beam_size)
+        steps = [r.steps for _, r in got]
+        if beam_size == 3:
+            assert any(r.terminated for _, r in got)
+            assert min(steps) < max(steps) == m.config.max_decode_len
+        for ex, (tokens, result) in zip(examples, got):
+            want_tokens, want = reference_generate(m, ex, beam_size)
+            assert tokens == want_tokens
+            assert result.token_ids == want.token_ids
+            assert result.logp == want.logp
+            assert result.terminated == want.terminated
+            assert result.flags == want.flags
+
+
+def test_generate_many_rejects_zero_beam():
+    m, examples = desk_model()
+    with pytest.raises(ValueError):
+        m.generate_many(examples[:1], beam_size=0)

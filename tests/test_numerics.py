@@ -22,7 +22,9 @@ from qaharvest.numerics import (
     grad_check,
     log,
     logsumexp,
+    lstm_rows,
     lstm_step,
+    matvec_rows,
     narrow,
     pad_to,
     pick,
@@ -124,6 +126,26 @@ def test_softmax_sums_to_one_and_shift_invariant(vals, shift):
     assert abs(base.sum() - 1.0) <= 1e-12
     assert np.all(base >= 0)
     assert np.allclose(base, shifted, atol=1e-12)
+
+
+def test_softmax_rows_equal_vector_softmax_bitwise():
+    rng = RngState(8)
+    m = rng.uniform(-30.0, 30.0, (5, 1031))
+    rows = softmax_rows(Tensor(m)).data
+    for r, want in zip(m, rows):
+        assert np.array_equal(softmax(Tensor(r)).data, want)
+
+
+@pytest.mark.parametrize("n_rows", [1, 3, 64, 65, 129, 200])
+def test_matvec_rows_equal_matrix_vector_bitwise(n_rows):
+    # 65 and 129 rows leave a one-row tail after 64-row blocks
+    rng = RngState(n_rows)
+    w = rng.uniform(-1.0, 1.0, (n_rows, 37))
+    xs = rng.uniform(-1.0, 1.0, (5, 37))
+    got = matvec_rows(w, xs)
+    assert got.shape == (5, n_rows)
+    for x, row_ in zip(xs, got):
+        assert np.array_equal(w @ x, row_)
 
 
 def test_logsumexp_matches_direct():
@@ -293,6 +315,18 @@ def test_lstm_one_dim_matches_scalar_recomputation():
     assert c.item() == pytest.approx(c_want, abs=1e-12)
 
 
+def test_lstm_rows_match_lstm_step_bitwise():
+    rng = RngState(4)
+    store = ParameterStore()
+    cell = LstmCellParams(store, "cell", 5, 6, rng)
+    xs, hs, cs = (rng.uniform(-1, 1, (4, n)) for n in (5, 6, 6))
+    h_rows, c_rows = lstm_rows(xs, hs, cs, cell)
+    for x, h0, c0, h1, c1 in zip(xs, hs, cs, h_rows, c_rows):
+        h, c = lstm_step(Tensor(x), Tensor(h0), Tensor(c0), cell)
+        assert np.array_equal(h.data, h1)
+        assert np.array_equal(c.data, c1)
+
+
 def test_lstm_dimension_mismatch():
     store = ParameterStore()
     cell = LstmCellParams(store, "cell", 3, 2)
@@ -376,10 +410,13 @@ def test_checkpoint_roundtrip(tmp_path):
     fresh.create("b.mat", (3, 2))
     fresh.create("a.vec", (4,))
     fresh.create("c.scalar", ())
+    arrays = {name: fresh[name].data for name in want}
     meta = fresh.load(path)
     assert meta == {"epoch": 7}
     for name, arr in want.items():
         assert np.array_equal(fresh[name].data, arr)
+        # loaded into the parameter's own array, not a replacement
+        assert fresh[name].data is arrays[name]
 
 
 def test_checkpoint_manifest_sorted_and_little_endian(tmp_path):

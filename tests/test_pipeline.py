@@ -47,10 +47,10 @@ class StubGenerator:
         self.logp = logp
         self.seen = []
 
-    def generate(self, example, beam_size=None):
-        self.seen.append(example)
+    def generate_many(self, examples, beam_size=None):
+        self.seen.extend(examples)
         result = BeamResult([], self.logp, "unterminated" not in self.flags, list(self.flags))
-        return list(self.tokens), result
+        return [(list(self.tokens), result) for _ in examples]
 
 
 def one_span_setup(question_tokens=("who", "won", "?"), **stub_kwargs):
@@ -181,6 +181,44 @@ def test_missing_question_mark_appended_and_flagged():
     assert report.question_marks_appended == 1
 
 
+class OneSpanAtATime:
+    """A generator whose searches each decode alone."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def generate_many(self, examples, beam_size=None):
+        return [self.model.generate_many([ex], beam_size)[0] for ex in examples]
+
+
+def test_lockstep_decoding_matches_span_at_a_time():
+    model, _ = tiny_generator(seed=3)
+    model.config.max_decode_len = 6
+    paras = number_paragraphs(3)
+    extractor = StubExtractor({p.key(): spans for p, spans in paras})
+    assert all(len(spans) >= 2 for _, spans in paras)
+    together, report = harvest([p for p, _ in paras], extractor, model)
+    alone, alone_report = harvest([p for p, _ in paras], extractor, OneSpanAtATime(model))
+    assert together
+    assert [r.to_json() for r in together] == [r.to_json() for r in alone]
+    assert report == alone_report
+
+
+def test_report_counts_batched_decode_steps():
+    model, _ = tiny_generator(seed=3)
+    model.config.max_decode_len = 6
+    paras = number_paragraphs(2)
+    extractor = StubExtractor({p.key(): spans for p, spans in paras})
+    _, report = harvest([p for p, _ in paras], extractor, model)
+    # every search here runs to the cap, so each paragraph takes 6 steps
+    # and scores more than one hypothesis per step from step 2 on
+    assert report.unterminated == report.records
+    assert report.decode_steps == 6 * len(paras)
+    assert report.decode_rows > report.decode_steps * max(len(spans) for _, spans in paras)
+    per_step = report.decode_rows / report.decode_steps
+    assert f"{per_step:.1f} hypotheses per step" in report.summary()
+
+
 def test_unterminated_flag_propagates():
     para, _, extractor, generator = one_span_setup(flags=["unterminated"])
     records, report = harvest([para], extractor, generator)
@@ -244,6 +282,12 @@ def test_pipeline_config_roundtrip(tmp_path):
     path = tmp_path / "pipe.json"
     cfg.to_json(path)
     assert PipelineConfig.from_json(path) == cfg
+
+
+@pytest.mark.parametrize("field", ["beam_size", "max_decode_len"])
+def test_pipeline_config_rejects_widths_below_one(field):
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig("e.ckpt", "q.ckpt", "qv.json", "ew.json", "ec.json", **{field: 0})
 
 
 def test_pipeline_config_rejects_unknown_fields(tmp_path):

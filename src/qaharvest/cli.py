@@ -177,8 +177,12 @@ def _cmd_harvest(args) -> int:
         _require(path, "checkpoint or vocab file")
     paragraphs, _, report = _read_squad(args.data)
     print(report.summary())
-    extractor = load_extractor(cfg.extractor_checkpoint, cfg.ext_word_vocab, cfg.ext_char_vocab, cfg.preset)
-    generator = load_generator(cfg.qg_checkpoint, cfg.qg_word_vocab, cfg.preset)
+    try:
+        extractor = load_extractor(cfg.extractor_checkpoint, cfg.ext_word_vocab, cfg.ext_char_vocab, cfg.preset)
+        generator = load_generator(cfg.qg_checkpoint, cfg.qg_word_vocab, cfg.preset)
+    except ValueError as exc:
+        # a truncated checkpoint, or one that does not fit its vocab or config
+        raise UsageError(f"cannot load the models: {exc}")
     generator.config.max_decode_len = cfg.max_decode_len
     records, run = harvest(
         paragraphs,

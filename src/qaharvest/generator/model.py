@@ -18,9 +18,13 @@ autodiff tape. Generation builds no tape for decoding: ``generate_many``
 runs one beam search per sentence, all in lockstep, and each step scores
 every live hypothesis of every search with ``decode_rows``, which stacks
 their states into (rows x 2H) matrices and reads ``out.proj`` once for
-the whole batch. It shares the sigmoid, softmax and LSTM formulas with
-the tape ops and matches ``decode_step`` bit for bit (with one BLAS
-thread; see ``matvec_rows``).
+the whole batch; a wide ``out.proj`` product is split across the usable
+CPUs. It shares the sigmoid, softmax and LSTM formulas with the tape ops
+and matches ``decode_step`` bit for bit where the tape's products run on
+one BLAS thread. Its own values are the same at any BLAS thread count
+and CPU count (see ``matvec_rows``), and each hypothesis's values depend
+only on its own search, so a harvest record depends only on its own
+paragraph and span.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from typing import Iterable
 
 import numpy as np
@@ -118,32 +119,51 @@ class ParameterStore:
     def read_manifest(path) -> dict:
         """Checkpoint manifest alone (shapes, offsets, meta), no arrays."""
         with open(path, "rb") as fh:
-            (hlen,) = _MAGIC.unpack(fh.read(_MAGIC.size))
-            return json.loads(fh.read(hlen).decode("utf-8"))
+            return _read_manifest(fh, path)
 
     def load(self, path) -> dict:
-        """Load values in place; names and shapes must match exactly."""
+        """Load values in place; names and shapes must match exactly.
+
+        Every name and shape is checked before any array is written. Each
+        entry is then read from the file straight into its parameter's
+        own array, in offset order, so loading holds no second copy of
+        the weights. A file that ends early raises ``ValueError`` naming
+        the entry it cut short.
+        """
         with open(path, "rb") as fh:
-            (hlen,) = _MAGIC.unpack(fh.read(_MAGIC.size))
-            manifest = json.loads(fh.read(hlen).decode("utf-8"))
-            blob = fh.read()
-        seen = set()
-        for entry in manifest["params"]:
-            name = entry["name"]
-            shape = tuple(entry["shape"])
-            if name not in self._params:
-                raise KeyError(f"checkpoint has unknown parameter: {name}")
-            p = self._params[name]
-            if shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: file {shape}, model {p.data.shape}")
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            start = entry["offset"]
-            p.data[...] = np.frombuffer(blob, dtype="<f8", count=count, offset=start).reshape(shape)
-            seen.add(name)
-        missing = set(self._params) - seen
-        if missing:
-            raise KeyError(f"checkpoint missing parameters: {sorted(missing)}")
+            manifest = _read_manifest(fh, path)
+            base = fh.tell()
+            entries = sorted(manifest["params"], key=lambda e: e["offset"])
+            for entry in entries:
+                name = entry["name"]
+                if name not in self._params:
+                    raise ValueError(f"checkpoint has unknown parameter: {name}")
+                shape, model = tuple(entry["shape"]), self._params[name].data.shape
+                if shape != model:
+                    raise ValueError(f"shape mismatch for {name}: file {shape}, model {model}")
+            missing = set(self._params) - {entry["name"] for entry in entries}
+            if missing:
+                raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
+            for entry in entries:
+                data = self._params[entry["name"]].data
+                fh.seek(base + entry["offset"])
+                if fh.readinto(memoryview(data).cast("B")) != data.nbytes:
+                    raise ValueError(f"checkpoint {path} is truncated in parameter {entry['name']}")
+                if sys.byteorder == "big":
+                    data.byteswap(inplace=True)
         return manifest.get("meta", {})
+
+
+def _read_manifest(fh, path) -> dict:
+    """The manifest at the start of an open checkpoint, leaving ``fh`` at
+    the first parameter byte."""
+    raw = fh.read(_MAGIC.size)
+    if len(raw) == _MAGIC.size:
+        (hlen,) = _MAGIC.unpack(raw)
+        raw = fh.read(hlen)
+        if len(raw) == hlen:
+            return json.loads(raw.decode("utf-8"))
+    raise ValueError(f"checkpoint {path} is truncated in its manifest")
 
 
 def sgd_step(params: Iterable[Parameter], lr: float, clip_lo: float = -5.0, clip_hi: float = 5.0) -> None:

@@ -18,6 +18,10 @@ backward passes belong to a single owner.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 __all__ = [
@@ -59,6 +63,41 @@ __all__ = [
 # of 64 rows x 1024 float64 columns (512 KiB) stays in cache while every
 # vector of a batch is multiplied against it.
 _MATVEC_BLOCK_ROWS = 64
+# numpy's matmul releases the interpreter lock only when its output has
+# more values than this, so a block run on another thread must be larger.
+_GIL_FREE_OUTPUT = 500
+# Blocks grow no larger than this many values (2 MiB): OpenBLAS runs a
+# matrix-vector product below 460800 values on one thread whatever its
+# thread count, and one split across its threads can round differently.
+_BLAS_SERIAL_VALUES = 1 << 18
+# Below this many multiply-adds a product stays on the calling thread:
+# handing blocks to another thread costs more than it saves. (Measured on
+# a 2-vCPU VM with one BLAS thread, two threads broke even between about
+# 1M and 5M multiply-adds, depending on the shape.)
+_PARALLEL_MIN_FMAS = 4_000_000
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Contiguous runs of row blocks one product is split into: one per CPU
+# this process may run on. The calling thread does the first run and a
+# pool, created on the first product that needs it, does the others.
+_WORKERS = _usable_cpus()
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _matvec_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_WORKERS - 1, thread_name_prefix="matvec_rows")
+        return _pool
 
 
 def stable_sigmoid(d: np.ndarray) -> np.ndarray:
@@ -79,20 +118,49 @@ def matvec_rows(w: np.ndarray, xs: np.ndarray) -> np.ndarray:
     makes, so it does not depend on the batch it was computed in; a GEMM
     would sum in another order and differ in the last bits. Walking ``w``
     in row blocks with the whole batch per block reads ``w`` from memory
-    once per call instead of once per vector. (A BLAS running one large
-    product on several threads may split it differently from the blocks
-    and round differently; with one BLAS thread the rows are identical.)
+    once per call instead of once per vector.
+
+    A product of at least ``_PARALLEL_MIN_FMAS`` multiply-adds is cut
+    into contiguous runs of blocks, one per usable CPU, and the runs are
+    computed at once on as many threads. Its blocks first grow (64, 128,
+    256, ... rows) until numpy releases the interpreter lock for each,
+    within ``_BLAS_SERIAL_VALUES``; a product whose blocks cannot grow
+    that far stays on one thread. A row's bits depend neither on its
+    block's height nor on the run it falls in, so the result is the same
+    for any batch and any CPU count. Below 7200 columns no block reaches
+    the size at which OpenBLAS splits a product across its own threads,
+    so it is also the same at any BLAS thread count (where ``w @ x`` on a
+    whole wide matrix is not).
     """
-    rows = w.shape[0]
-    starts = list(range(0, rows, _MATVEC_BLOCK_ROWS))
+    rows, batch = w.shape[0], xs.shape[0]
+    out = np.empty((batch, rows))
+    if out.size == 0:
+        return out
+    parallel = _WORKERS > 1 and rows * w.shape[1] * batch >= _PARALLEL_MIN_FMAS
+    height = _MATVEC_BLOCK_ROWS
+    while parallel and height * batch <= _GIL_FREE_OUTPUT and 2 * height * w.shape[1] <= _BLAS_SERIAL_VALUES:
+        height *= 2
+    parallel = parallel and height * batch > _GIL_FREE_OUTPUT
+    starts = list(range(0, rows, height))
     if len(starts) > 1 and rows - starts[-1] == 1:
         # numpy turns a one-row product into an inner product, which sums
         # in another order; the last row joins the block before it
         starts.pop()
-    out = np.empty((xs.shape[0], rows))
+    blocks = list(zip(starts, starts[1:] + [rows]))
     cols = xs[:, :, None]
-    for r0, r1 in zip(starts, starts[1:] + [rows]):
-        out[:, r0:r1] = np.matmul(w[r0:r1], cols)[:, :, 0]
+
+    def run(part):
+        for r0, r1 in part:
+            out[:, r0:r1] = np.matmul(w[r0:r1], cols)[:, :, 0]
+
+    n = min(_WORKERS if parallel else 1, len(blocks))
+    parts = [blocks[len(blocks) * i // n : len(blocks) * (i + 1) // n] for i in range(n)]
+    futures = [_matvec_pool().submit(run, part) for part in parts[1:]]
+    try:
+        run(parts[0])
+    finally:
+        for future in futures:
+            future.result()
     return out
 
 

@@ -281,7 +281,10 @@ class PipelineConfig:
 
 def _config_from_meta(meta: dict, cls, preset: str):
     if "config" in meta:
-        return cls(**meta["config"])
+        try:
+            return cls(**meta["config"])
+        except TypeError as exc:
+            raise ValueError(f"checkpoint config does not fit {cls.__name__}: {exc}")
     return cls.desk() if preset == "desk" else cls()
 
 

@@ -5,10 +5,14 @@ import json
 import os
 
 import pytest
+from qaharvest import cli
 from qaharvest.cli import entry
+from qaharvest.corpus import build_vocab
 from qaharvest.extractor import ExtractorConfig
 from qaharvest.generator import GeneratorConfig
-from qaharvest.pipeline import PipelineConfig, span_record, write_span_records
+from qaharvest.gradsuite import gradient_suite
+from qaharvest.numerics import ParameterStore
+from qaharvest.pipeline import PipelineConfig, load_generator, span_record, write_span_records
 from synth import number_paragraphs, squad_json
 
 
@@ -38,6 +42,21 @@ def train_tiny(tmp_path, corpus_file):
     return out
 
 
+def pipeline_config(tmp_path, out):
+    """A harvest config over the artifacts of ``train_tiny``; returns its path."""
+    pipe = PipelineConfig(
+        extractor_checkpoint=str(out / "ext.ckpt"),
+        qg_checkpoint=str(out / "qg.ckpt"),
+        qg_word_vocab=str(out / "qg_vocab.json"),
+        ext_word_vocab=str(out / "ext_word_vocab.json"),
+        ext_char_vocab=str(out / "ext_char_vocab.json"),
+        max_decode_len=8,
+    )
+    cfg_path = tmp_path / "pipe.json"
+    pipe.to_json(cfg_path)
+    return cfg_path
+
+
 # ------------------------------------------------------- train + harvest
 
 
@@ -56,16 +75,7 @@ def test_train_and_harvest_artifacts(tmp_path, corpus_file, capsys):
     assert (out / "qg_train.csv").read_text().startswith("epoch,train_nll,dev_ppl")
     assert (out / "ext_train.csv").read_text().startswith("epoch,train_nll,dev_f1")
 
-    pipe = PipelineConfig(
-        extractor_checkpoint=str(out / "ext.ckpt"),
-        qg_checkpoint=str(out / "qg.ckpt"),
-        qg_word_vocab=str(out / "qg_vocab.json"),
-        ext_word_vocab=str(out / "ext_word_vocab.json"),
-        ext_char_vocab=str(out / "ext_char_vocab.json"),
-        max_decode_len=8,
-    )
-    cfg_path = tmp_path / "pipe.json"
-    pipe.to_json(cfg_path)
+    cfg_path = pipeline_config(tmp_path, out)
     capsys.readouterr()
 
     # one-epoch models may extract nothing; the point here is plumbing
@@ -151,7 +161,23 @@ def test_eval_ext_floor_and_json(gold_span_file, capsys):
 # ---------------------------------------------------- gradcheck + stats
 
 
-def test_gradcheck_passes_and_reports(capsys):
+@pytest.fixture(scope="module")
+def gradient_errors():
+    """One real gradient audit, the run ``gradcheck`` makes with no
+    --seed; the CLI tests below reuse it instead of each auditing again."""
+    return gradient_suite(0)
+
+
+@pytest.fixture()
+def audited_once(gradient_errors, monkeypatch):
+    def suite(seed):
+        assert seed == 0
+        return dict(gradient_errors)
+
+    monkeypatch.setattr(cli, "gradient_suite", suite)
+
+
+def test_gradcheck_passes_and_reports(audited_once, capsys):
     assert entry(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
@@ -159,7 +185,7 @@ def test_gradcheck_passes_and_reports(capsys):
         assert name in out
 
 
-def test_gradcheck_impossible_threshold_fails(capsys):
+def test_gradcheck_impossible_threshold_fails(audited_once, capsys):
     assert entry(["gradcheck", "--threshold", "1e-300"]) == 1
 
 
@@ -275,3 +301,32 @@ def test_harvest_config_width_below_one_exits_2(tmp_path, corpus_file, capsys, f
     path.write_text(json.dumps(raw))
     argv = ["harvest", "--config", str(path), "--data", corpus_file, "--out", str(tmp_path / "r.jsonl")]
     assert_one_line_usage_error(argv, capsys, field)
+
+
+def test_harvest_checkpoint_not_fitting_vocab_exits_2(tmp_path, corpus_file, capsys):
+    out = train_tiny(tmp_path, corpus_file)
+    cfg_path = pipeline_config(tmp_path, out)
+    build_vocab(["just", "these"], 10).save(out / "qg_vocab.json")
+    argv = ["harvest", "--config", str(cfg_path), "--data", corpus_file, "--out", str(tmp_path / "r.jsonl")]
+    assert_one_line_usage_error(argv, capsys, "shape mismatch for")
+
+
+@pytest.mark.parametrize("name", ["qg.ckpt", "ext.ckpt"])
+def test_harvest_truncated_checkpoint_exits_2(tmp_path, corpus_file, capsys, name):
+    out = train_tiny(tmp_path, corpus_file)
+    cfg_path = pipeline_config(tmp_path, out)
+    path = out / name
+    path.write_bytes(path.read_bytes()[:-8])
+    argv = ["harvest", "--config", str(cfg_path), "--data", corpus_file, "--out", str(tmp_path / "r.jsonl")]
+    assert_one_line_usage_error(argv, capsys, "truncated", name)
+
+
+def test_harvest_checkpoint_config_unknown_field_exits_2(tmp_path, corpus_file, capsys):
+    out = train_tiny(tmp_path, corpus_file)
+    cfg_path = pipeline_config(tmp_path, out)
+    meta = ParameterStore.read_manifest(out / "qg.ckpt")["meta"]
+    meta["config"]["surprise"] = 1
+    model = load_generator(out / "qg.ckpt", out / "qg_vocab.json")
+    model.store.save(out / "qg.ckpt", meta=meta)
+    argv = ["harvest", "--config", str(cfg_path), "--data", corpus_file, "--out", str(tmp_path / "r.jsonl")]
+    assert_one_line_usage_error(argv, capsys, "surprise")

@@ -1,5 +1,7 @@
 import math
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from qaharvest.numerics import (
     tanh,
     tsum,
 )
+from qaharvest.numerics import tensor
 
 
 # ---------------------------------------------------------------- rng
@@ -136,16 +139,79 @@ def test_softmax_rows_equal_vector_softmax_bitwise():
         assert np.array_equal(softmax(Tensor(r)).data, want)
 
 
-@pytest.mark.parametrize("n_rows", [1, 3, 64, 65, 129, 200])
-def test_matvec_rows_equal_matrix_vector_bitwise(n_rows):
-    # 65 and 129 rows leave a one-row tail after 64-row blocks
+@pytest.mark.parametrize("n_rows", [1, 3, 64, 65, 129, 200, 513, 1025])
+def test_matvec_rows_equal_matrix_vector_bitwise(n_rows, matvec_workers, monkeypatch):
+    # every product splits here, into 3, 2 or 1 runs, and batches of 1-8
+    # grow the blocks up to 512 rows; 65, 129, 513 and 1025 rows leave a
+    # one-row tail
+    monkeypatch.setattr(tensor, "_PARALLEL_MIN_FMAS", 0)
     rng = RngState(n_rows)
     w = rng.uniform(-1.0, 1.0, (n_rows, 37))
-    xs = rng.uniform(-1.0, 1.0, (5, 37))
-    got = matvec_rows(w, xs)
-    assert got.shape == (5, n_rows)
-    for x, row_ in zip(xs, got):
-        assert np.array_equal(w @ x, row_)
+    for workers in (3, 2, 1):
+        matvec_workers(workers)
+        for batch in range(1, 9):
+            xs = rng.uniform(-1.0, 1.0, (batch, 37))
+            got = matvec_rows(w, xs)
+            assert got.shape == (batch, n_rows)
+            for x, row_ in zip(xs, got):
+                assert np.array_equal(w @ x, row_)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("shape", [(6004, 256), (2049, 1024)])
+def test_matvec_rows_wide_products_split_without_changing_bits(shape, workers, matvec_workers, monkeypatch):
+    # above the threshold a product is split across the pool; a whole
+    # w @ x this wide may itself run on several BLAS threads, so the
+    # reference is the unsplit product in 64-row blocks
+    rng = RngState(workers)
+    w = rng.uniform(-1.0, 1.0, shape)
+    batches = [rng.uniform(-1.0, 1.0, (batch, shape[1])) for batch in range(1, 9)]
+    matvec_workers(1)
+    want = [matvec_rows(w, xs) for xs in batches]
+    matvec_workers(workers)
+    submitted = []
+    pool = tensor._matvec_pool()
+    monkeypatch.setattr(tensor, "_matvec_pool", lambda: submitted.append(1) or pool)
+    for xs, ref in zip(batches, want):
+        assert np.array_equal(matvec_rows(w, xs), ref)
+    assert submitted
+
+
+def test_matvec_rows_empty_batch(matvec_workers, monkeypatch):
+    matvec_workers(2)
+    monkeypatch.setattr(tensor, "_PARALLEL_MIN_FMAS", 0)
+    w = RngState(3).uniform(-1.0, 1.0, (130, 8))
+    assert matvec_rows(w, np.empty((0, 8))).shape == (0, 130)
+    assert matvec_rows(np.empty((0, 8)), np.ones((2, 8))).shape == (2, 0)
+
+
+def test_matvec_rows_concurrent_callers(matvec_workers, monkeypatch):
+    # more runs than cores and callers racing on one pool: every result
+    # still lands in its own rows
+    matvec_workers(3)
+    monkeypatch.setattr(tensor, "_PARALLEL_MIN_FMAS", 0)
+    rng = RngState(21)
+    w = rng.uniform(-1.0, 1.0, (700, 29))
+    inputs = [rng.uniform(-1.0, 1.0, (1 + i % 4, 29)) for i in range(8)]
+    want = [np.stack([w @ x for x in xs]) for xs in inputs]
+    got: dict[int, list] = {}
+
+    def caller(i):
+        got[i] = [matvec_rows(w, inputs[i]) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, ref in enumerate(want):
+        assert all(np.array_equal(r, ref) for r in got[i])
 
 
 def test_logsumexp_matches_direct():
@@ -447,6 +513,40 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     other.create("w", (4,))
     with pytest.raises(ValueError):
         other.load(path)
+
+
+def _saved_pair(tmp_path):
+    store = ParameterStore()
+    store.create("a.first", (3, 2), RngState(1))
+    store.create("b.second", (4,), RngState(2))
+    path = tmp_path / "m.ckpt"
+    store.save(path)
+    fresh = ParameterStore()
+    fresh.create("a.first", (3, 2))
+    fresh.create("b.second", (4,))
+    return path, fresh
+
+
+def test_checkpoint_truncated_blob_names_entry(tmp_path):
+    path, fresh = _saved_pair(tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8])
+    with pytest.raises(ValueError, match="truncated in parameter b.second"):
+        fresh.load(path)
+    # cut inside the first entry: the error names that one
+    path.write_bytes(raw[: len(raw) - 4 * 8 - 8])
+    with pytest.raises(ValueError, match="truncated in parameter a.first"):
+        fresh.load(path)
+
+
+@pytest.mark.parametrize("keep", [0, 5, 8, 20])
+def test_checkpoint_truncated_manifest(tmp_path, keep):
+    path, fresh = _saved_pair(tmp_path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match="truncated in its manifest"):
+        ParameterStore.read_manifest(path)
+    with pytest.raises(ValueError, match="truncated in its manifest"):
+        fresh.load(path)
 
 
 # ------------------------------------------------------------ dropout

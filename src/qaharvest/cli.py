@@ -13,9 +13,10 @@ Subcommands and their artifacts:
     stats      question-type histogram of a question file or harvest run
 
 Checkpoints embed their own hyperparameters, so harvest needs no
-separate model config files. Every subcommand is deterministic given
-its seed. Exit codes: 0 success, 1 metric floor or gradient failure,
-2 usage errors and missing files.
+separate model config files and refuses a checkpoint without them.
+Training and the gradient audit are deterministic given their seed;
+harvest draws no random numbers. Exit codes: 0 success, 1 metric floor
+or gradient failure, 2 usage errors and missing files.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _read_questions(path) -> list[list[str]]:
 def _config_file(cls, path):
     try:
         return cls.from_json(_require(path, "config file"))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad config {path}: {exc}")
 
 
@@ -171,17 +172,16 @@ def _cmd_train_ext(args) -> int:
 
 def _cmd_harvest(args) -> int:
     cfg = _config_file(PipelineConfig, args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     for path in cfg.paths():
         _require(path, "checkpoint or vocab file")
     paragraphs, _, report = _read_squad(args.data)
     print(report.summary())
     try:
-        extractor = load_extractor(cfg.extractor_checkpoint, cfg.ext_word_vocab, cfg.ext_char_vocab, cfg.preset)
-        generator = load_generator(cfg.qg_checkpoint, cfg.qg_word_vocab, cfg.preset)
+        extractor = load_extractor(cfg.extractor_checkpoint, cfg.ext_word_vocab, cfg.ext_char_vocab)
+        generator = load_generator(cfg.qg_checkpoint, cfg.qg_word_vocab)
     except ValueError as exc:
-        # a truncated checkpoint, or one that does not fit its vocab or config
+        # a truncated checkpoint, one without its config, or one that
+        # does not fit its vocab or config
         raise UsageError(f"cannot load the models: {exc}")
     generator.config.max_decode_len = cfg.max_decode_len
     records, run = harvest(
@@ -311,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="pipeline config json")
     p.add_argument("--data", required=True, help="SQuAD v1.1 json (contexts only)")
     p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("--seed", type=int, help="overrides the config seed")
     p.set_defaults(run=_cmd_harvest)
 
     p = sub.add_parser("eval-qg", help="corpus BLEU of generated questions")

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..corpus.tagging import ANSWER_TAGS, AnswerSpan
 from ..corpus.tokens import Paragraph
 from ..corpus.vocab import Vocabulary
@@ -26,8 +24,8 @@ from ..numerics import (
     Tensor,
     add,
     apply_dropout,
+    bilstm,
     concat,
-    lstm_step,
     matmul,
     row,
     softmax_rows,
@@ -97,14 +95,8 @@ class ExtractorModel:
         """Final forward and backward char-LSTM states, concatenated."""
         if not word:
             raise ValueError("empty word")
-        ch = self.config.char_hidden
         embs = [row(self.char_emb, self.char_vocab.id_of(c)) for c in word]
-        fh, fc = Tensor(np.zeros(ch)), Tensor(np.zeros(ch))
-        for e in embs:
-            fh, fc = lstm_step(e, fh, fc, self.char_fwd)
-        bh, bc = Tensor(np.zeros(ch)), Tensor(np.zeros(ch))
-        for e in reversed(embs):
-            bh, bc = lstm_step(e, bh, bc, self.char_bwd)
+        _, _, (fh, _), (bh, _) = bilstm(embs, self.char_fwd, self.char_bwd)
         return concat([fh, bh])
 
     def token_inputs(
@@ -125,25 +117,6 @@ class ExtractorModel:
 
     # ---------------------------------------------------------- emissions
 
-    def _bilstm_layer(
-        self, seq: list[Tensor], cells: tuple[LstmCellParams, LstmCellParams], train: bool, rng: RngState | None
-    ) -> list[Tensor]:
-        fwd_cell, bwd_cell = cells
-        h = self.config.hidden_dim
-        zeros = lambda: Tensor(np.zeros(h))
-        fh, fc = zeros(), zeros()
-        fwd = []
-        for x in seq:
-            fh, fc = lstm_step(x, fh, fc, fwd_cell)
-            fwd.append(fh)
-        bh, bc = zeros(), zeros()
-        bwd: list[Tensor] = [None] * len(seq)
-        for i in reversed(range(len(seq))):
-            bh, bc = lstm_step(seq[i], bh, bc, bwd_cell)
-            bwd[i] = bh
-        out = [concat([f, b]) for f, b in zip(fwd, bwd)]
-        return [apply_dropout(r, rng, self.config.dropout, train) for r in out]
-
     def emissions(
         self, surfaces: list[str], ner_tags: list[str], train: bool = False, rng: RngState | None = None
     ) -> Tensor:
@@ -151,8 +124,10 @@ class ExtractorModel:
         if not surfaces:
             raise ValueError("empty sequence")
         seq = self.token_inputs(surfaces, ner_tags, train, rng)
-        for cells in self.layers:
-            seq = self._bilstm_layer(seq, cells, train, rng)
+        for fwd_cell, bwd_cell in self.layers:
+            fwd, bwd, _, _ = bilstm(seq, fwd_cell, bwd_cell)
+            out = [concat([f, b]) for f, b in zip(fwd, bwd)]
+            seq = [apply_dropout(r, rng, self.config.dropout, train) for r in out]
         logits = stack([add(matmul(self.emit_proj, z), self.emit_bias) for z in seq])
         return softmax_rows(logits) if self.config.normalize_emissions else logits
 

@@ -3,15 +3,15 @@ desk-scale preset for laptop experiments."""
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
+
+from ..jsonconfig import JsonConfig
 
 __all__ = ["GeneratorConfig"]
 
 
 @dataclass
-class GeneratorConfig:
+class GeneratorConfig(JsonConfig):
     word_dim: int = 128
     hidden_dim: int = 256
     coref_feat_dim: int = 16
@@ -54,17 +54,3 @@ class GeneratorConfig:
         )
         base.update(overrides)
         return cls(**base)
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, path) -> "GeneratorConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**raw)

@@ -43,6 +43,7 @@ from ..numerics import (
     RngState,
     Tensor,
     apply_dropout,
+    bilstm,
     clamp_min,
     concat,
     dot,
@@ -166,21 +167,10 @@ class QGModel:
     def encode(self, inputs: list[Tensor], source_tokens: list[str], train: bool = False, rng: RngState | None = None) -> EncoderOutput:
         if not inputs:
             raise ValueError("empty sequence")
-        h_dim = self.config.hidden_dim
-        zeros = lambda: Tensor(np.zeros(h_dim))
-        fh, fc = zeros(), zeros()
-        fwd = []
-        for e in inputs:
-            fh, fc = lstm_step(e, fh, fc, self.enc_fwd)
-            fwd.append(fh)
-        bh, bc = zeros(), zeros()
-        bwd: list[Tensor] = [None] * len(inputs)
-        for i in reversed(range(len(inputs))):
-            bh, bc = lstm_step(inputs[i], bh, bc, self.enc_bwd)
-            bwd[i] = bh
+        fwd, bwd, fwd_final, bwd_final = bilstm(inputs, self.enc_fwd, self.enc_bwd)
         rows = [concat([f, b]) for f, b in zip(fwd, bwd)]
         rows = [apply_dropout(r, rng, self.config.dropout, train) for r in rows]
-        return EncoderOutput(stack(rows), (fwd[-1], fc), (bwd[0], bc), list(source_tokens))
+        return EncoderOutput(stack(rows), fwd_final, bwd_final, list(source_tokens))
 
     def initial_state(self, enc: EncoderOutput) -> tuple[Tensor, Tensor]:
         """Decoder starts from the concatenated final directional states."""

@@ -5,8 +5,9 @@ candidate], so one matmul per step covers all four gates. With all
 parameters zero and c_prev = 0 the cell outputs (0, 0): the gates sit at
 sigmoid(0) = 0.5 and the candidate at tanh(0) = 0.
 
-``lstm_step`` builds tape nodes for training; ``lstm_rows`` is the same
-step on plain arrays for a batch of rows at once, for inference.
+``lstm_step`` builds tape nodes for training, and ``bilstm`` runs it
+over a sequence in both directions; ``lstm_rows`` is the same step on
+plain arrays for a batch of rows at once, for inference.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .params import ParameterStore
 from .rng import RngState
 from .tensor import Tensor, add, matmul, matvec_rows, mul, narrow, sigmoid, stable_sigmoid, tanh
 
-__all__ = ["LstmCellParams", "lstm_step", "lstm_rows"]
+__all__ = ["LstmCellParams", "lstm_step", "bilstm", "lstm_rows"]
 
 
 class LstmCellParams:
@@ -46,6 +47,25 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmCellParams) -> t
     c = add(mul(gate_forget, c_prev), mul(gate_in, candidate))
     h_new = mul(gate_out, tanh(c))
     return h_new, c
+
+
+def bilstm(
+    seq: list[Tensor], fwd_cell: LstmCellParams, bwd_cell: LstmCellParams
+) -> tuple[list[Tensor], list[Tensor], tuple[Tensor, Tensor], tuple[Tensor, Tensor]]:
+    """``lstm_step`` over ``seq`` forward, then backward, each direction
+    from zero states. Returns both directions' outputs at every position,
+    in sequence order, and each direction's final (h, c)."""
+    fh, fc = Tensor(np.zeros(fwd_cell.hidden_dim)), Tensor(np.zeros(fwd_cell.hidden_dim))
+    fwd = []
+    for x in seq:
+        fh, fc = lstm_step(x, fh, fc, fwd_cell)
+        fwd.append(fh)
+    bh, bc = Tensor(np.zeros(bwd_cell.hidden_dim)), Tensor(np.zeros(bwd_cell.hidden_dim))
+    bwd: list[Tensor] = [None] * len(seq)
+    for i in reversed(range(len(seq))):
+        bh, bc = lstm_step(seq[i], bh, bc, bwd_cell)
+        bwd[i] = bh
+    return fwd, bwd, (fh, fc), (bh, bc)
 
 
 def lstm_rows(xs: np.ndarray, hs: np.ndarray, cs: np.ndarray, p: LstmCellParams) -> tuple[np.ndarray, np.ndarray]:

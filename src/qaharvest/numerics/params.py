@@ -22,6 +22,7 @@ from .tensor import Tensor
 __all__ = ["Parameter", "ParameterStore", "sgd_step"]
 
 _MAGIC = struct.Struct("<Q")
+_FORMAT = "qaharvest-checkpoint-v1"
 
 
 class Parameter(Tensor):
@@ -55,12 +56,6 @@ class ParameterStore:
         self._params[name] = p
         return p
 
-    def add(self, param: Parameter) -> Parameter:
-        if param.name in self._params:
-            raise ValueError(f"duplicate parameter name: {param.name}")
-        self._params[param.name] = param
-        return param
-
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
@@ -79,9 +74,6 @@ class ParameterStore:
     def zero_grad(self) -> None:
         for p in self._params.values():
             p.grad = None
-
-    def total_size(self) -> int:
-        return sum(p.data.size for p in self._params.values())
 
     def state(self) -> dict[str, np.ndarray]:
         """Detached copies of all values, for best-model snapshots."""
@@ -105,7 +97,7 @@ class ParameterStore:
             entries.append({"name": name, "shape": list(p.data.shape), "offset": offset})
             blobs.append(raw)
             offset += len(raw)
-        manifest = {"format": "qaharvest-checkpoint-v1", "params": entries}
+        manifest = {"format": _FORMAT, "params": entries}
         if meta is not None:
             manifest["meta"] = meta
         header = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -156,13 +148,18 @@ class ParameterStore:
 
 def _read_manifest(fh, path) -> dict:
     """The manifest at the start of an open checkpoint, leaving ``fh`` at
-    the first parameter byte."""
+    the first parameter byte. Anything but a JSON object of this format
+    with a ``params`` list raises ``ValueError``."""
     raw = fh.read(_MAGIC.size)
     if len(raw) == _MAGIC.size:
         (hlen,) = _MAGIC.unpack(raw)
         raw = fh.read(hlen)
         if len(raw) == hlen:
-            return json.loads(raw.decode("utf-8"))
+            manifest = json.loads(raw.decode("utf-8"))
+            ours = isinstance(manifest, dict) and manifest.get("format") == _FORMAT
+            if not ours or not isinstance(manifest.get("params"), list):
+                raise ValueError(f"checkpoint {path} has no {_FORMAT} manifest")
+            return manifest
     raise ValueError(f"checkpoint {path} is truncated in its manifest")
 
 

@@ -31,6 +31,7 @@ from .extractor.model import ExtractorModel
 from .generator.config import GeneratorConfig
 from .generator.data import GeneratorExample
 from .generator.model import QGModel
+from .jsonconfig import JsonConfig
 from .numerics import ParameterStore
 
 __all__ = [
@@ -234,21 +235,20 @@ def read_span_records(path) -> dict[tuple[str, int], list[tuple[int, int, int]]]
 
 
 @dataclass
-class PipelineConfig:
+class PipelineConfig(JsonConfig):
     """Paths and knobs for a harvest run. Vocabularies are per model:
     the generator's word list includes question-side tokens, so the two
-    models do not share one file."""
+    models do not share one file. Each model's hyperparameters come from
+    its checkpoint."""
 
     extractor_checkpoint: str
     qg_checkpoint: str
     qg_word_vocab: str
     ext_word_vocab: str
     ext_char_vocab: str
-    preset: str = "desk"
     beam_size: int = 3
     max_decode_len: int = 30
     span_cap: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("beam_size", "max_decode_len"):
@@ -264,46 +264,34 @@ class PipelineConfig:
             self.ext_char_vocab,
         ]
 
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**raw)
-
-
-def _config_from_meta(meta: dict, cls, preset: str):
-    if "config" in meta:
-        try:
-            return cls(**meta["config"])
-        except TypeError as exc:
-            raise ValueError(f"checkpoint config does not fit {cls.__name__}: {exc}")
-    return cls.desk() if preset == "desk" else cls()
+def _embedded_config(checkpoint_path, cls):
+    """The config a checkpoint was saved with; a checkpoint without one
+    raises ``ValueError``, since a model's shapes do not determine its
+    hyperparameters."""
+    meta = ParameterStore.read_manifest(checkpoint_path).get("meta")
+    if not isinstance(meta, dict) or "config" not in meta:
+        raise ValueError(f"checkpoint {checkpoint_path} has no embedded {cls.__name__}")
+    try:
+        return cls.from_dict(meta["config"])
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {checkpoint_path} config does not fit {cls.__name__}: {exc}") from None
 
 
-def load_generator(checkpoint_path, word_vocab_path, preset: str = "desk") -> QGModel:
-    """Rebuild a generator from its checkpoint; the embedded config wins
-    over the preset. Shapes are verified against the checkpoint. The
-    model is built with zero weights, since the checkpoint overwrites
-    every one of them."""
-    meta = ParameterStore.read_manifest(checkpoint_path).get("meta", {})
-    config = _config_from_meta(meta, GeneratorConfig, preset)
+def load_generator(checkpoint_path, word_vocab_path) -> QGModel:
+    """Rebuild a generator from its checkpoint and the config embedded in
+    it. Shapes are verified against the checkpoint. The model is built
+    with zero weights, since the checkpoint overwrites every one of
+    them."""
+    config = _embedded_config(checkpoint_path, GeneratorConfig)
     vocab = Vocabulary.load(word_vocab_path)
     model = QGModel(config, vocab, None)
     model.store.load(checkpoint_path)
     return model
 
 
-def load_extractor(checkpoint_path, word_vocab_path, char_vocab_path, preset: str = "desk") -> ExtractorModel:
-    meta = ParameterStore.read_manifest(checkpoint_path).get("meta", {})
-    config = _config_from_meta(meta, ExtractorConfig, preset)
+def load_extractor(checkpoint_path, word_vocab_path, char_vocab_path) -> ExtractorModel:
+    config = _embedded_config(checkpoint_path, ExtractorConfig)
     words = Vocabulary.load(word_vocab_path)
     chars = Vocabulary.load(char_vocab_path)
     model = ExtractorModel(config, words, chars, None)

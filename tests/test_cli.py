@@ -3,6 +3,7 @@ codes, and the usage-error paths."""
 
 import json
 import os
+import struct
 
 import pytest
 from qaharvest import cli
@@ -311,14 +312,29 @@ def test_harvest_checkpoint_not_fitting_vocab_exits_2(tmp_path, corpus_file, cap
     assert_one_line_usage_error(argv, capsys, "shape mismatch for")
 
 
-@pytest.mark.parametrize("name", ["qg.ckpt", "ext.ckpt"])
-def test_harvest_truncated_checkpoint_exits_2(tmp_path, corpus_file, capsys, name):
+def cut_last_value(raw: bytes) -> bytes:
+    return raw[:-8]
+
+
+def list_manifest(raw: bytes) -> bytes:
+    return struct.pack("<Q", 2) + b"[]"
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, needle",
+    [
+        pytest.param("qg.ckpt", cut_last_value, "truncated", id="qg.ckpt"),
+        pytest.param("ext.ckpt", cut_last_value, "truncated", id="ext.ckpt"),
+        pytest.param("ext.ckpt", list_manifest, "manifest", id="ext.ckpt-list-manifest"),
+    ],
+)
+def test_harvest_truncated_checkpoint_exits_2(tmp_path, corpus_file, capsys, name, corrupt, needle):
     out = train_tiny(tmp_path, corpus_file)
     cfg_path = pipeline_config(tmp_path, out)
     path = out / name
-    path.write_bytes(path.read_bytes()[:-8])
+    path.write_bytes(corrupt(path.read_bytes()))
     argv = ["harvest", "--config", str(cfg_path), "--data", corpus_file, "--out", str(tmp_path / "r.jsonl")]
-    assert_one_line_usage_error(argv, capsys, "truncated", name)
+    assert_one_line_usage_error(argv, capsys, needle, name)
 
 
 def test_harvest_checkpoint_config_unknown_field_exits_2(tmp_path, corpus_file, capsys):
@@ -330,3 +346,12 @@ def test_harvest_checkpoint_config_unknown_field_exits_2(tmp_path, corpus_file, 
     model.store.save(out / "qg.ckpt", meta=meta)
     argv = ["harvest", "--config", str(cfg_path), "--data", corpus_file, "--out", str(tmp_path / "r.jsonl")]
     assert_one_line_usage_error(argv, capsys, "surprise")
+
+
+def test_harvest_checkpoint_without_config_exits_2(tmp_path, corpus_file, capsys):
+    out = train_tiny(tmp_path, corpus_file)
+    cfg_path = pipeline_config(tmp_path, out)
+    model = load_generator(out / "qg.ckpt", out / "qg_vocab.json")
+    model.store.save(out / "qg.ckpt")
+    argv = ["harvest", "--config", str(cfg_path), "--data", corpus_file, "--out", str(tmp_path / "r.jsonl")]
+    assert_one_line_usage_error(argv, capsys, "qg.ckpt", "no embedded GeneratorConfig")

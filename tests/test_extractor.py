@@ -473,6 +473,49 @@ def test_train_overfits_small_set():
     assert dev_exact_f1(model, data) == 1.0
 
 
+def overfit_model(data, cls=ExtractorModel, **overrides):
+    return cls(
+        tiny_config(**overrides),
+        build_vocab([w for ex in data for w in ex.surfaces()], 50),
+        build_vocab([c for ex in data for w in ex.surfaces() for c in w], 50),
+        RngState(4),
+    )
+
+
+def test_train_aborts_on_nan_and_restores():
+    data = overfit_set(3)
+
+    class Sabotaged(ExtractorModel):
+        train_calls = 0
+
+        def nll(self, ex, train=False, rng=None):
+            if train:
+                type(self).train_calls += 1
+                # poison epoch 2's last batch, after its first batch stepped
+                if type(self).train_calls == 2 * len(data):
+                    return Tensor(math.nan)
+            return super().nll(ex, train, rng)
+
+    model = overfit_model(data, Sabotaged, epochs=5, batch_size=2)
+    report = train_extractor(model, data, data, rng=RngState(5))
+    assert report.aborted
+    assert len(report.curve) == 1
+    # parameters rolled back to the epoch-1 checkpoint
+    reference = overfit_model(data, epochs=1, batch_size=2)
+    train_extractor(reference, data, data, rng=RngState(5))
+    for p in reference.store:
+        assert np.array_equal(model.store[p.name].data, p.data), p.name
+
+
+def test_train_csv_log(tmp_path):
+    data = overfit_set(2)
+    path = tmp_path / "log.csv"
+    train_extractor(overfit_model(data, epochs=2), data, data, rng=RngState(6), log_path=path)
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "epoch,train_nll,dev_f1"
+    assert len(lines) == 3
+
+
 def test_train_rejects_empty_sets():
     data = overfit_set(1)
     model = tiny_model()

@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 import sys
@@ -494,8 +495,6 @@ def test_checkpoint_manifest_sorted_and_little_endian(tmp_path):
     store.save(path)
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<Q", raw[:8])
-    import json
-
     manifest = json.loads(raw[8 : 8 + hlen])
     names = [e["name"] for e in manifest["params"]]
     assert names == sorted(names) == ["aa", "zz"]
@@ -546,6 +545,20 @@ def test_checkpoint_truncated_manifest(tmp_path, keep):
     with pytest.raises(ValueError, match="truncated in its manifest"):
         ParameterStore.read_manifest(path)
     with pytest.raises(ValueError, match="truncated in its manifest"):
+        fresh.load(path)
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [[], {"params": []}, {"format": "other-v1", "params": []}, {"format": "qaharvest-checkpoint-v1", "params": {}}],
+)
+def test_checkpoint_manifest_validated(tmp_path, manifest):
+    path, fresh = _saved_pair(tmp_path)
+    header = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(struct.pack("<Q", len(header)) + header)
+    with pytest.raises(ValueError, match="has no qaharvest-checkpoint-v1 manifest"):
+        ParameterStore.read_manifest(path)
+    with pytest.raises(ValueError, match="has no qaharvest-checkpoint-v1 manifest"):
         fresh.load(path)
 
 

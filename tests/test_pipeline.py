@@ -278,7 +278,7 @@ def test_span_records_roundtrip(tmp_path):
 
 
 def test_pipeline_config_roundtrip(tmp_path):
-    cfg = PipelineConfig("e.ckpt", "q.ckpt", "qv.json", "ew.json", "ec.json", beam_size=5, seed=3)
+    cfg = PipelineConfig("e.ckpt", "q.ckpt", "qv.json", "ew.json", "ec.json", beam_size=5, span_cap=7)
     path = tmp_path / "pipe.json"
     cfg.to_json(path)
     assert PipelineConfig.from_json(path) == cfg
@@ -294,6 +294,17 @@ def test_pipeline_config_rejects_unknown_fields(tmp_path):
     path = tmp_path / "pipe.json"
     path.write_text(json.dumps({"extractor_checkpoint": "x", "surprise": 1}))
     with pytest.raises(ValueError, match="surprise"):
+        PipelineConfig.from_json(path)
+
+
+@pytest.mark.parametrize(
+    "raw, needle",
+    [([], "must be a JSON object"), (3, "must be a JSON object"), ({"extractor_checkpoint": "x"}, "missing")],
+)
+def test_pipeline_config_rejects_non_configs(tmp_path, raw, needle):
+    path = tmp_path / "pipe.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=needle):
         PipelineConfig.from_json(path)
 
 
@@ -318,21 +329,34 @@ def test_load_generator_restores_model(tmp_path):
     assert loaded.generate(examples[0])[0] == model.generate(examples[0])[0]
 
 
-def test_load_extractor_restores_model(tmp_path):
-    cfg = ExtractorConfig.desk(word_dim=4, char_dim=2, char_hidden=2, ner_dim=2, hidden_dim=3)
-    paras = number_paragraphs(2)
-    surfaces = [t.surface for p, _ in paras for s in p.sentences for t in s]
+def saved_extractor(tmp_path, cfg, meta):
+    """An extractor over ``number_paragraphs(2)``, saved with ``meta``
+    beside its vocabularies; returns the model and its three paths."""
+    surfaces = [t.surface for p, _ in number_paragraphs(2) for s in p.sentences for t in s]
     words = build_vocab(surfaces, 100)
     chars = build_vocab([c for w in surfaces for c in w], 100)
     model = ExtractorModel(cfg, words, chars, RngState(4))
     ckpt = tmp_path / "ext.ckpt"
-    model.store.save(ckpt, meta={"config": dataclasses.asdict(cfg)})
+    model.store.save(ckpt, meta=meta)
     words.save(tmp_path / "w.json")
     chars.save(tmp_path / "c.json")
-    loaded = load_extractor(ckpt, tmp_path / "w.json", tmp_path / "c.json")
+    return model, (ckpt, tmp_path / "w.json", tmp_path / "c.json")
+
+
+def test_load_extractor_restores_model(tmp_path):
+    cfg = ExtractorConfig.desk(word_dim=4, char_dim=2, char_hidden=2, ner_dim=2, hidden_dim=3)
+    model, paths = saved_extractor(tmp_path, cfg, {"config": dataclasses.asdict(cfg)})
+    loaded = load_extractor(*paths)
     assert loaded.config == cfg
-    para = paras[0][0]
+    para = number_paragraphs(2)[0][0]
     assert loaded.predict(para).tags == model.predict(para).tags
+
+
+def test_load_extractor_refuses_checkpoint_without_config(tmp_path):
+    # desk dims: the desk preset's shapes fit, but not its emissions
+    _, paths = saved_extractor(tmp_path, ExtractorConfig.desk(normalize_emissions=False), None)
+    with pytest.raises(ValueError, match="no embedded ExtractorConfig"):
+        load_extractor(*paths)
 
 
 def test_load_rejects_vocab_of_wrong_size(tmp_path):

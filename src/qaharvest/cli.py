@@ -77,13 +77,13 @@ def _config_file(cls, path):
         raise UsageError(f"bad config {path}: {exc}")
 
 
-def _load_config(cls, config_path, preset: str, seed):
+def _load_config(cls, config_path, preset, seed):
     if config_path is not None:
         cfg = _config_file(cls, config_path)
-    elif preset == "desk":
-        cfg = cls.desk()
-    else:
+    elif preset == "paper":
         cfg = cls()
+    else:
+        cfg = cls.desk()
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     return cfg
@@ -92,79 +92,74 @@ def _load_config(cls, config_path, preset: str, seed):
 # ------------------------------------------------------------- training
 
 
-def _cmd_train_qg(args) -> int:
-    cfg = _load_config(GeneratorConfig, args.config, args.preset, args.seed)
+def _training_sets(args, make_examples):
+    """(train, dev) examples built by ``make_examples(paragraphs, qas)``
+    from ``--data`` and ``--dev``; without ``--dev`` the training set
+    also selects the model."""
     paragraphs, qas, report = _read_squad(args.data)
     print(report.summary())
-    train_set = [qg_example_from_qa(qa) for qa in qas]
+    train_set = make_examples(paragraphs, qas)
     if not train_set:
         raise UsageError("no usable training examples in data file")
-    if args.dev:
-        _, dev_qas, _ = _read_squad(args.dev)
-        dev_set = [qg_example_from_qa(qa) for qa in dev_qas]
-        if not dev_set:
-            raise UsageError("no usable examples in dev file")
-    else:
-        dev_set = train_set
-        print("no dev file given; selecting on training perplexity")
-    tokens = [t for ex in train_set for t in ex.tokens]
-    tokens += [t for ex in train_set for t in ex.question]
-    vocab = build_vocab(tokens, cfg.vocab_limit)
-    model = QGModel(cfg, vocab, RngState(cfg.seed))
-    result = train_qg(model, train_set, dev_set, rng=RngState(cfg.seed))
+    if not args.dev:
+        print("no dev file given; selecting on the training set")
+        return train_set, train_set
+    dev_paragraphs, dev_qas, _ = _read_squad(args.dev)
+    dev_set = make_examples(dev_paragraphs, dev_qas)
+    if not dev_set:
+        raise UsageError("no usable examples in dev file")
+    return train_set, dev_set
 
-    os.makedirs(args.out, exist_ok=True)
-    model.store.save(os.path.join(args.out, "qg.ckpt"), meta={"config": dataclasses.asdict(cfg)})
-    vocab.save(os.path.join(args.out, "qg_vocab.json"))
-    result.write_csv(os.path.join(args.out, "qg_train.csv"))
-    print(f"best epoch {result.best_epoch}: dev perplexity {result.best_dev_ppl:.4f}")
+
+def _save_run(out, name: str, model, vocabs: dict, result) -> int:
+    """Write ``<name>.ckpt`` with the model's config embedded, each
+    vocabulary under its file name, and ``<name>_train.csv``; exit 1 if
+    training aborted."""
+    os.makedirs(out, exist_ok=True)
+    model.store.save(os.path.join(out, f"{name}.ckpt"), meta={"config": dataclasses.asdict(model.config)})
+    for filename, vocab in vocabs.items():
+        vocab.save(os.path.join(out, filename))
+    result.write_csv(os.path.join(out, f"{name}_train.csv"))
     if result.aborted:
         print("training aborted on non-finite loss; best earlier snapshot kept", file=sys.stderr)
         return 1
     return 0
 
 
-def _gold_spans_by_paragraph(paragraphs: list[Paragraph], qas: list[QAExample]):
-    """Group deduplicated gold answer spans under their paragraphs."""
+def _cmd_train_qg(args) -> int:
+    cfg = _load_config(GeneratorConfig, args.config, args.preset, args.seed)
+    train_set, dev_set = _training_sets(args, lambda paragraphs, qas: [qg_example_from_qa(qa) for qa in qas])
+    tokens = [t for ex in train_set for t in ex.tokens]
+    tokens += [t for ex in train_set for t in ex.question]
+    vocab = build_vocab(tokens, cfg.vocab_limit)
+    model = QGModel(cfg, vocab, RngState(cfg.seed))
+    result = train_qg(model, train_set, dev_set)
+    print(f"best epoch {result.best_epoch}: dev perplexity {result.best_dev_ppl:.4f}")
+    return _save_run(args.out, "qg", model, {"qg_vocab.json": vocab}, result)
+
+
+def _extractor_examples(paragraphs: list[Paragraph], qas: list[QAExample]):
+    """One example per paragraph with gold answers, its deduplicated
+    gold spans as targets."""
     by_key = {p.key(): p for p in paragraphs}
     spans: dict[tuple[str, int], dict] = {}
     for qa in qas:
         ident = (qa.answer.sentence_index, qa.answer.token_start, qa.answer.token_end)
         spans.setdefault(qa.paragraph.key(), {})[ident] = qa.answer
-    return [(by_key[key], list(group.values())) for key, group in spans.items()]
+    return [make_extractor_example(by_key[key], list(group.values())) for key, group in spans.items()]
 
 
 def _cmd_train_ext(args) -> int:
     cfg = _load_config(ExtractorConfig, args.config, args.preset, args.seed)
-    paragraphs, qas, report = _read_squad(args.data)
-    print(report.summary())
-    train_set = [make_extractor_example(p, spans) for p, spans in _gold_spans_by_paragraph(paragraphs, qas)]
-    if not train_set:
-        raise UsageError("no usable training examples in data file")
-    if args.dev:
-        dev_paragraphs, dev_qas, _ = _read_squad(args.dev)
-        dev_set = [make_extractor_example(p, s) for p, s in _gold_spans_by_paragraph(dev_paragraphs, dev_qas)]
-        if not dev_set:
-            raise UsageError("no usable examples in dev file")
-    else:
-        dev_set = train_set
-        print("no dev file given; selecting on training F1")
+    train_set, dev_set = _training_sets(args, _extractor_examples)
     surfaces = [t.surface for ex in train_set for s in ex.paragraph.sentences for t in s]
     words = build_vocab(surfaces, cfg.vocab_limit)
     chars = build_vocab([c for w in surfaces for c in w], cfg.char_vocab_limit)
     model = ExtractorModel(cfg, words, chars, RngState(cfg.seed))
-    result = train_extractor(model, train_set, dev_set, rng=RngState(cfg.seed))
-
-    os.makedirs(args.out, exist_ok=True)
-    model.store.save(os.path.join(args.out, "ext.ckpt"), meta={"config": dataclasses.asdict(cfg)})
-    words.save(os.path.join(args.out, "ext_word_vocab.json"))
-    chars.save(os.path.join(args.out, "ext_char_vocab.json"))
-    result.write_csv(os.path.join(args.out, "ext_train.csv"))
+    result = train_extractor(model, train_set, dev_set)
     print(f"best epoch {result.best_epoch}: dev exact F1 {result.best_dev_f1:.4f}")
-    if result.aborted:
-        print("training aborted on non-finite loss; best earlier snapshot kept", file=sys.stderr)
-        return 1
-    return 0
+    vocabs = {"ext_word_vocab.json": words, "ext_char_vocab.json": chars}
+    return _save_run(args.out, "ext", model, vocabs, result)
 
 
 # -------------------------------------------------------------- harvest
@@ -183,13 +178,13 @@ def _cmd_harvest(args) -> int:
         # a truncated checkpoint, one without its config, or one that
         # does not fit its vocab or config
         raise UsageError(f"cannot load the models: {exc}")
-    generator.config.max_decode_len = cfg.max_decode_len
     records, run = harvest(
         paragraphs,
         extractor,
         generator,
         span_cap=cfg.span_cap,
         beam_size=cfg.beam_size,
+        max_decode_len=cfg.max_decode_len,
     )
     write_records(records, args.out)
     print(run.summary())
@@ -299,8 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True, help="SQuAD v1.1 json")
         p.add_argument("--dev", help="held-out SQuAD json for model selection")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--config", help="hyperparameter json; overrides --preset")
-        p.add_argument("--preset", choices=("desk", "paper"), default="desk")
+        hyper = p.add_mutually_exclusive_group()
+        hyper.add_argument("--config", help="hyperparameter json")
+        hyper.add_argument("--preset", choices=("desk", "paper"), help="built-in hyperparameters (default desk)")
         p.add_argument("--seed", type=int, help="overrides the config seed")
         return p
 

@@ -19,6 +19,7 @@ UNK = "<unk>"
 SOS = "<sos>"
 EOS = "<eos>"
 _SPECIALS = (PAD, UNK, SOS, EOS)
+_FORMAT = "qaharvest-vocab-v1"
 
 PAD_ID = 0
 UNK_ID = 1
@@ -59,17 +60,21 @@ class Vocabulary:
         return self._id_to_token[len(_SPECIALS) :]
 
     def save(self, path) -> None:
-        payload = {"format": "qaharvest-vocab-v1", "tokens": self.content_tokens()}
+        payload = {"format": _FORMAT, "tokens": self.content_tokens()}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, ensure_ascii=False)
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """A saved vocabulary; anything but a JSON object of this format
+        with a list of token strings raises ``ValueError``."""
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("format") != "qaharvest-vocab-v1":
-            raise ValueError("not a vocabulary file")
-        return cls(payload["tokens"])
+        ours = isinstance(payload, dict) and payload.get("format") == _FORMAT
+        tokens = payload.get("tokens") if ours else None
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ValueError(f"{path} is not a {_FORMAT} file with a list of token strings")
+        return cls(tokens)
 
 
 def build_vocab(tokens: Iterable[str], limit: int = 50000) -> Vocabulary:

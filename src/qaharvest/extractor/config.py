@@ -31,6 +31,13 @@ class ExtractorConfig(JsonConfig):
     stop_at_f1: float | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        counts = ("word_dim", "char_dim", "char_hidden", "ner_dim", "hidden_dim", "depth")
+        counts += ("vocab_limit", "char_vocab_limit", "batch_size", "epochs")
+        self._require(counts, lambda v: v >= 1, ">= 1")
+        self._require(("lr",), lambda v: v > 0, "> 0")
+        self._require(("dropout",), lambda v: 0 <= v < 1, "in [0, 1)")
+
     @classmethod
     def desk(cls, **overrides) -> "ExtractorConfig":
         """Small dims for laptop-speed experiments and the overfit checks.

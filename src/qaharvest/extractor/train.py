@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 from ..metrics import overlap_metrics
 from ..numerics import RngState, sgd_step
-from .config import ExtractorConfig
 from .data import ExtractorExample
 from .model import ExtractorModel
 
@@ -53,15 +52,14 @@ def train_extractor(
     model: ExtractorModel,
     train_set: list[ExtractorExample],
     dev_set: list[ExtractorExample],
-    config: ExtractorConfig | None = None,
     rng: RngState | None = None,
-    log_path=None,
 ) -> ExtractorTrainReport:
-    """Epochs of shuffled mini-batch SGD on the CRF loss; keeps the
-    parameters of the epoch with the highest dev exact-match F1. A
-    non-finite training loss aborts the run and restores the best
-    parameters seen so far."""
-    config = config or model.config
+    """Epochs of shuffled mini-batch SGD on the CRF loss, every
+    hyperparameter from ``model.config``; keeps the parameters of the
+    epoch with the highest dev exact-match F1. A non-finite training loss
+    aborts the run and restores the best parameters seen so far. Write
+    the curve with ``report.write_csv``."""
+    config = model.config
     rng = rng or RngState(config.seed)
     if not train_set:
         raise ValueError("empty training set")
@@ -106,6 +104,4 @@ def train_extractor(
             break
 
     model.store.load_state(best_state)
-    if log_path is not None:
-        report.write_csv(log_path)
     return report

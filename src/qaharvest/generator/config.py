@@ -21,8 +21,6 @@ class GeneratorConfig(JsonConfig):
     batch_size: int = 64
     lr: float = 0.5
     epochs: int = 15
-    beam_size: int = 3
-    max_decode_len: int = 30
     init_scale: float = 0.1
     # ablation switches: no-gating passes the coref embedding through raw,
     # zero-scores feeds the gate a zero mention-pair score everywhere
@@ -30,6 +28,12 @@ class GeneratorConfig(JsonConfig):
     use_mention_scores: bool = True
     stop_below_ppl: float | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        counts = ("word_dim", "hidden_dim", "coref_feat_dim", "answer_feat_dim", "vocab_limit", "batch_size", "epochs")
+        self._require(counts, lambda v: v >= 1, ">= 1")
+        self._require(("lr",), lambda v: v > 0, "> 0")
+        self._require(("dropout",), lambda v: 0 <= v < 1, "in [0, 1)")
 
     @classmethod
     def desk(cls, **overrides) -> "GeneratorConfig":

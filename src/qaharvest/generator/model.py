@@ -303,11 +303,13 @@ class QGModel:
                 out[i] = (logp, (s_h[i], s_c[i]))
         return out
 
-    def generate_many(self, examples: list[GeneratorExample], beam_size: int | None = None) -> list:
+    def generate_many(self, examples: list[GeneratorExample], beam_size: int, max_len: int) -> list:
         """Beam-search one question per transformed sentence, all of the
         searches in lockstep: each decoder step scores every live
-        hypothesis of every search in one ``decode_rows`` call. Returns
-        (question tokens, BeamResult) per example, in order."""
+        hypothesis of every search in one ``decode_rows`` call. The beam
+        width and the decode length are settings of the run, not of the
+        model, so the caller gives both. Returns (question tokens,
+        BeamResult) per example, in order."""
         sources = []
         init_states = []
         for ex in examples:
@@ -320,11 +322,11 @@ class QGModel:
             init_states,
             start_id=SOS_ID,
             eos_id=EOS_ID,
-            beam_size=self.config.beam_size if beam_size is None else beam_size,
-            max_len=self.config.max_decode_len,
+            beam_size=beam_size,
+            max_len=max_len,
         )
         return [([dyn.token_of(i) for i in r.token_ids], r) for (_, dyn), r in zip(sources, results)]
 
-    def generate(self, ex: GeneratorExample, beam_size: int | None = None):
+    def generate(self, ex: GeneratorExample, beam_size: int, max_len: int):
         """Beam-search a question for one transformed sentence."""
-        return self.generate_many([ex], beam_size)[0]
+        return self.generate_many([ex], beam_size, max_len)[0]

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 from ..numerics import RngState, sgd_step
-from .config import GeneratorConfig
 from .data import GeneratorExample
 from .model import QGModel
 
@@ -42,14 +41,14 @@ def train_qg(
     model: QGModel,
     train_set: list[GeneratorExample],
     dev_set: list[GeneratorExample],
-    config: GeneratorConfig | None = None,
     rng: RngState | None = None,
-    log_path=None,
 ) -> TrainReport:
-    """Epochs of shuffled mini-batch SGD; keeps the parameters of the
-    epoch with the lowest dev perplexity. A non-finite training loss
-    aborts the run and restores the best parameters seen so far."""
-    config = config or model.config
+    """Epochs of shuffled mini-batch SGD, every hyperparameter from
+    ``model.config``; keeps the parameters of the epoch with the lowest
+    dev perplexity. A non-finite training loss aborts the run and
+    restores the best parameters seen so far. Write the curve with
+    ``report.write_csv``."""
+    config = model.config
     rng = rng or RngState(config.seed)
     if not train_set:
         raise ValueError("empty training set")
@@ -95,6 +94,4 @@ def train_qg(
             break
 
     model.store.load_state(best_state)
-    if log_path is not None:
-        report.write_csv(log_path)
     return report

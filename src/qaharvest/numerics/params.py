@@ -146,10 +146,26 @@ class ParameterStore:
         return manifest.get("meta", {})
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _valid_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(_is_count(dim) for dim in entry["shape"])
+        and _is_count(entry.get("offset"))
+    )
+
+
 def _read_manifest(fh, path) -> dict:
     """The manifest at the start of an open checkpoint, leaving ``fh`` at
     the first parameter byte. Anything but a JSON object of this format
-    with a ``params`` list raises ``ValueError``."""
+    with a ``params`` list raises ``ValueError``, as does an entry that
+    is not an object with a string ``name``, a ``shape`` list of ints and
+    an int ``offset`` >= 0."""
     raw = fh.read(_MAGIC.size)
     if len(raw) == _MAGIC.size:
         (hlen,) = _MAGIC.unpack(raw)
@@ -159,6 +175,12 @@ def _read_manifest(fh, path) -> dict:
             ours = isinstance(manifest, dict) and manifest.get("format") == _FORMAT
             if not ours or not isinstance(manifest.get("params"), list):
                 raise ValueError(f"checkpoint {path} has no {_FORMAT} manifest")
+            for number, entry in enumerate(manifest["params"]):
+                if not _valid_entry(entry):
+                    raise ValueError(
+                        f"checkpoint {path} manifest entry {number} is not a name, a shape of ints "
+                        f"and an offset >= 0: {entry!r}"
+                    )
             return manifest
     raise ValueError(f"checkpoint {path} is truncated in its manifest")
 

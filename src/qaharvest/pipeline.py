@@ -132,9 +132,14 @@ def harvest(
     extractor: ExtractorModel,
     generator: QGModel,
     span_cap: int = 10,
-    beam_size: int | None = None,
+    beam_size: int = 3,
+    max_decode_len: int = 30,
     scorer: MentionScorer = distance_scorer,
 ) -> tuple[list[HarvestRecord], HarvestReport]:
+    """Records for every paragraph's first ``span_cap`` predicted spans,
+    one question each, decoded with beam width ``beam_size`` for at most
+    ``max_decode_len`` tokens. The two decode settings come from the
+    caller only; the generator's config holds none."""
     records: list[HarvestRecord] = []
     report = HarvestReport()
     for paragraph in paragraphs:
@@ -149,7 +154,7 @@ def harvest(
             report.skipped_no_spans += 1
             continue
         examples = [transform_for_generation(paragraph, span, scorer) for span in spans]
-        generated = generator.generate_many(examples, beam_size)
+        generated = generator.generate_many(examples, beam_size, max_decode_len)
         # the searches start together, so the longest one counts the steps
         report.decode_steps += max(beam.steps for _, beam in generated)
         report.decode_rows += sum(beam.rows for _, beam in generated)
@@ -251,9 +256,7 @@ class PipelineConfig(JsonConfig):
     span_cap: int = 10
 
     def __post_init__(self):
-        for name in ("beam_size", "max_decode_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        self._require(("beam_size", "max_decode_len", "span_cap"), lambda v: v >= 1, ">= 1")
 
     def paths(self) -> list[str]:
         return [

@@ -1,6 +1,7 @@
 """Command-line behavior: artifact production, metric output, exit
 codes, and the usage-error paths."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -31,15 +32,19 @@ def question_file(tmp_path):
     return str(path)
 
 
+TINY_CONFIGS = {
+    "train-qg": GeneratorConfig.desk(word_dim=4, hidden_dim=3, coref_feat_dim=2, answer_feat_dim=2, epochs=2),
+    "train-ext": ExtractorConfig.desk(word_dim=4, char_dim=2, char_hidden=2, ner_dim=2, hidden_dim=3, epochs=1),
+}
+
+
 def train_tiny(tmp_path, corpus_file):
     """Two fast CLI training runs; returns the artifact directory."""
     out = tmp_path / "run"
-    qg_cfg = tmp_path / "qg_cfg.json"
-    GeneratorConfig.desk(word_dim=4, hidden_dim=3, coref_feat_dim=2, answer_feat_dim=2, epochs=2).to_json(qg_cfg)
-    assert entry(["train-qg", "--data", corpus_file, "--out", str(out), "--config", str(qg_cfg)]) == 0
-    ext_cfg = tmp_path / "ext_cfg.json"
-    ExtractorConfig.desk(word_dim=4, char_dim=2, char_hidden=2, ner_dim=2, hidden_dim=3, epochs=1).to_json(ext_cfg)
-    assert entry(["train-ext", "--data", corpus_file, "--out", str(out), "--config", str(ext_cfg)]) == 0
+    for command, config in TINY_CONFIGS.items():
+        path = tmp_path / f"{command}.json"
+        config.to_json(path)
+        assert entry([command, "--data", corpus_file, "--out", str(out), "--config", str(path)]) == 0
     return out
 
 
@@ -293,7 +298,41 @@ def test_training_config_unknown_field_exits_2(tmp_path, corpus_file, capsys, co
     assert_one_line_usage_error(argv, capsys, "surprise")
 
 
-@pytest.mark.parametrize("field", ["beam_size", "max_decode_len"])
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("train-qg", "batch_size", 0),
+        ("train-qg", "dropout", 1.0),
+        ("train-ext", "lr", 0),
+        pytest.param("train-qg", "lr", 10**400, id="train-qg-lr-int-beyond-float"),
+        ("train-qg", "vocab_limit", 0),
+        ("train-ext", "char_vocab_limit", 0),
+        ("train-ext", "word_dim", "x"),
+        ("train-qg", "epochs", 0),
+    ],
+)
+def test_training_config_bad_value_exits_2(tmp_path, corpus_file, capsys, command, field, value):
+    raw = dataclasses.asdict(TINY_CONFIGS[command])
+    raw[field] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    argv = [command, "--data", corpus_file, "--out", str(out), "--config", str(path)]
+    assert_one_line_usage_error(argv, capsys, field)
+    assert not out.exists()
+
+
+def test_training_config_and_preset_exclude_each_other(tmp_path, corpus_file, capsys):
+    path = tmp_path / "cfg.json"
+    TINY_CONFIGS["train-qg"].to_json(path)
+    out = tmp_path / "out"
+    argv = ["train-qg", "--data", corpus_file, "--out", str(out), "--config", str(path), "--preset", "paper"]
+    assert entry(argv) == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["beam_size", "max_decode_len", "span_cap"])
 def test_harvest_config_width_below_one_exits_2(tmp_path, corpus_file, capsys, field):
     path = tmp_path / "pipe.json"
     PipelineConfig("e.ckpt", "q.ckpt", "qv.json", "ew.json", "ec.json").to_json(path)
@@ -320,12 +359,38 @@ def list_manifest(raw: bytes) -> bytes:
     return struct.pack("<Q", 2) + b"[]"
 
 
+def entry_without_offset(raw: bytes) -> bytes:
+    (hlen,) = struct.unpack("<Q", raw[:8])
+    manifest = json.loads(raw[8 : 8 + hlen])
+    del manifest["params"][0]["offset"]
+    header = json.dumps(manifest).encode("utf-8")
+    return struct.pack("<Q", len(header)) + header + raw[8 + hlen :]
+
+
+def json_file(payload):
+    return lambda raw: json.dumps(payload).encode("utf-8")
+
+
 @pytest.mark.parametrize(
     "name, corrupt, needle",
     [
         pytest.param("qg.ckpt", cut_last_value, "truncated", id="qg.ckpt"),
         pytest.param("ext.ckpt", cut_last_value, "truncated", id="ext.ckpt"),
         pytest.param("ext.ckpt", list_manifest, "manifest", id="ext.ckpt-list-manifest"),
+        pytest.param("qg.ckpt", entry_without_offset, "manifest entry 0", id="qg.ckpt-entry-without-offset"),
+        pytest.param("qg_vocab.json", json_file([]), "qaharvest-vocab-v1", id="qg_vocab.json-list"),
+        pytest.param(
+            "qg_vocab.json",
+            json_file({"format": "qaharvest-vocab-v1"}),
+            "qaharvest-vocab-v1",
+            id="qg_vocab.json-no-tokens",
+        ),
+        pytest.param(
+            "qg_vocab.json",
+            json_file({"format": "qaharvest-vocab-v1", "tokens": 5}),
+            "qaharvest-vocab-v1",
+            id="qg_vocab.json-int-tokens",
+        ),
     ],
 )
 def test_harvest_truncated_checkpoint_exits_2(tmp_path, corpus_file, capsys, name, corrupt, needle):
@@ -337,15 +402,36 @@ def test_harvest_truncated_checkpoint_exits_2(tmp_path, corpus_file, capsys, nam
     assert_one_line_usage_error(argv, capsys, needle, name)
 
 
+def resave_qg_config(out, **changes):
+    """Save the trained generator again with ``changes`` in its embedded config."""
+    meta = ParameterStore.read_manifest(out / "qg.ckpt")["meta"]
+    meta["config"].update(changes)
+    model = load_generator(out / "qg.ckpt", out / "qg_vocab.json")
+    model.store.save(out / "qg.ckpt", meta=meta)
+
+
 def test_harvest_checkpoint_config_unknown_field_exits_2(tmp_path, corpus_file, capsys):
     out = train_tiny(tmp_path, corpus_file)
     cfg_path = pipeline_config(tmp_path, out)
-    meta = ParameterStore.read_manifest(out / "qg.ckpt")["meta"]
-    meta["config"]["surprise"] = 1
-    model = load_generator(out / "qg.ckpt", out / "qg_vocab.json")
-    model.store.save(out / "qg.ckpt", meta=meta)
+    resave_qg_config(out, surprise=1)
     argv = ["harvest", "--config", str(cfg_path), "--data", corpus_file, "--out", str(tmp_path / "r.jsonl")]
     assert_one_line_usage_error(argv, capsys, "surprise")
+
+
+@pytest.mark.parametrize(
+    "changes, needle",
+    [
+        pytest.param({"hidden_dim": "3"}, "hidden_dim", id="string-dim"),
+        # a generator saved while the decode settings were config fields
+        pytest.param({"beam_size": 3, "max_decode_len": 30}, "['beam_size', 'max_decode_len']", id="decode-settings"),
+    ],
+)
+def test_harvest_checkpoint_config_bad_field_exits_2(tmp_path, corpus_file, capsys, changes, needle):
+    out = train_tiny(tmp_path, corpus_file)
+    cfg_path = pipeline_config(tmp_path, out)
+    resave_qg_config(out, **changes)
+    argv = ["harvest", "--config", str(cfg_path), "--data", corpus_file, "--out", str(tmp_path / "r.jsonl")]
+    assert_one_line_usage_error(argv, capsys, "qg.ckpt", needle)
 
 
 def test_harvest_checkpoint_without_config_exits_2(tmp_path, corpus_file, capsys):

@@ -44,7 +44,7 @@ def wide_generator() -> QGModel:
     for k, word in enumerate(words):
         tokens[k * len(tokens) // len(words)] = word
     vocab = Vocabulary(tokens)
-    cfg = GeneratorConfig.desk(beam_size=3, max_decode_len=12, init_scale=1.0)
+    cfg = GeneratorConfig.desk(init_scale=1.0)
     model = QGModel(cfg, vocab, RngState(5))
     # logits spread widely enough that vocabulary words outscore copies,
     # so a last-bit change in a logit reaches the records' scores
@@ -54,7 +54,7 @@ def wide_generator() -> QGModel:
 
 def harvest_jsonl(model: QGModel, path) -> bytes:
     extractor = GoldSpans({p.key(): spans for p, spans in PARAGRAPHS})
-    records, _ = harvest([p for p, _ in PARAGRAPHS], extractor, model)
+    records, _ = harvest([p for p, _ in PARAGRAPHS], extractor, model, max_decode_len=12)
     write_records(records, path)
     return Path(path).read_bytes()
 

@@ -510,7 +510,7 @@ def test_train_aborts_on_nan_and_restores():
 def test_train_csv_log(tmp_path):
     data = overfit_set(2)
     path = tmp_path / "log.csv"
-    train_extractor(overfit_model(data, epochs=2), data, data, rng=RngState(6), log_path=path)
+    train_extractor(overfit_model(data, epochs=2), data, data, rng=RngState(6)).write_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_nll,dev_f1"
     assert len(lines) == 3

@@ -51,8 +51,6 @@ def tiny_config(**over):
         batch_size=2,
         lr=0.1,
         epochs=3,
-        beam_size=3,
-        max_decode_len=8,
     )
     base.update(over)
     return GeneratorConfig(**base)
@@ -473,7 +471,7 @@ def test_beam_search_many_rejects_bad_widths():
 
 def test_beam_model_integration_shapes():
     m = tiny_model(seed=30)
-    tokens, result = m.generate(example(), beam_size=3)
+    tokens, result = m.generate(example(), beam_size=3, max_len=8)
     assert isinstance(result, BeamResult)
     assert len(tokens) == len(result.token_ids)
     assert all(isinstance(t, str) for t in tokens)
@@ -499,8 +497,8 @@ def tiny_corpus():
 def test_train_deterministic_curves():
     corpus = tiny_corpus()
     cfg = tiny_config(epochs=3, lr=0.2)
-    r1 = train_qg(QGModel(cfg, tiny_vocab(), RngState(42)), corpus, corpus, cfg, RngState(7))
-    r2 = train_qg(QGModel(cfg, tiny_vocab(), RngState(42)), corpus, corpus, cfg, RngState(7))
+    r1 = train_qg(QGModel(cfg, tiny_vocab(), RngState(42)), corpus, corpus, RngState(7))
+    r2 = train_qg(QGModel(cfg, tiny_vocab(), RngState(42)), corpus, corpus, RngState(7))
     assert [(e.train_nll, e.dev_ppl) for e in r1.curve] == [(e.train_nll, e.dev_ppl) for e in r2.curve]
 
 
@@ -508,7 +506,7 @@ def test_train_keeps_best_dev_checkpoint():
     corpus = tiny_corpus()
     cfg = tiny_config(epochs=4, lr=0.3)
     model = QGModel(cfg, tiny_vocab(), RngState(1))
-    report = train_qg(model, corpus, corpus, cfg, RngState(2))
+    report = train_qg(model, corpus, corpus, RngState(2))
     assert report.best_epoch >= 1
     assert model.perplexity(corpus) == pytest.approx(report.best_dev_ppl, rel=1e-9)
 
@@ -528,7 +526,7 @@ def test_train_aborts_on_nan_and_restores():
             return super().nll(ex, train, rng)
 
     model = Sabotaged(cfg, tiny_vocab(), RngState(3))
-    report = train_qg(model, corpus, corpus, cfg, RngState(4))
+    report = train_qg(model, corpus, corpus, RngState(4))
     assert report.aborted
     assert len(report.curve) == 1
     # parameters rolled back to the epoch-1 checkpoint
@@ -539,7 +537,7 @@ def test_train_csv_log(tmp_path):
     corpus = tiny_corpus()
     cfg = tiny_config(epochs=2, lr=0.2)
     path = tmp_path / "log.csv"
-    train_qg(QGModel(cfg, tiny_vocab(), RngState(5)), corpus, corpus, cfg, RngState(6), log_path=path)
+    train_qg(QGModel(cfg, tiny_vocab(), RngState(5)), corpus, corpus, RngState(6)).write_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_nll,dev_ppl"
     assert len(lines) == 3
@@ -552,7 +550,7 @@ def desk_model(seed=3):
     _, examples = qg_overfit_corpus(2)
     # question words only, so source words outside them decode by copying
     words = [t for ex in examples for t in ex.question]
-    model = QGModel(GeneratorConfig.desk(max_decode_len=10), build_vocab(words, 200), RngState(seed))
+    model = QGModel(GeneratorConfig.desk(), build_vocab(words, 200), RngState(seed))
     return model, examples
 
 
@@ -587,7 +585,7 @@ def test_decode_rows_match_tape_decode_step():
         np.testing.assert_allclose(next_c, step.state[1].data, rtol=1e-10, atol=0.0)
 
 
-def reference_generate(m, ex, beam_size):
+def reference_generate(m, ex, beam_size, max_len):
     """The search as it ran before lockstep decoding: one tape
     decode_step per hypothesis through the single-search adapter."""
     enc = m.encode(m.embed_inputs(ex), ex.tokens)
@@ -598,25 +596,25 @@ def reference_generate(m, ex, beam_size):
         with np.errstate(divide="ignore"):
             return np.log(out.dist.data), out.state
 
-    result = beam_search(step, m.initial_state(enc), SOS_ID, EOS_ID, beam_size, m.config.max_decode_len)
+    result = beam_search(step, m.initial_state(enc), SOS_ID, EOS_ID, beam_size, max_len)
     return [dyn.token_of(i) for i in result.token_ids], result
 
 
 def test_generate_many_matches_per_hypothesis_tape_search():
     _, examples = qg_overfit_corpus(2)
-    cfg = GeneratorConfig.desk(word_dim=8, hidden_dim=8, coref_feat_dim=2, answer_feat_dim=2, epochs=8, max_decode_len=10)
+    cfg = GeneratorConfig.desk(word_dim=8, hidden_dim=8, coref_feat_dim=2, answer_feat_dim=2, epochs=8)
     m = QGModel(cfg, build_vocab([t for ex in examples for t in ex.question], 200), RngState(2))
     # a little training makes the searches end at different steps
-    train_qg(m, examples, examples, cfg, RngState(2))
+    train_qg(m, examples, examples, RngState(2))
     assert len({len(ex.tokens) for ex in examples}) >= 3
     for beam_size in (1, 3):
-        got = m.generate_many(examples, beam_size)
+        got = m.generate_many(examples, beam_size, max_len=10)
         steps = [r.steps for _, r in got]
         if beam_size == 3:
             assert any(r.terminated for _, r in got)
-            assert min(steps) < max(steps) == m.config.max_decode_len
+            assert min(steps) < max(steps) == 10
         for ex, (tokens, result) in zip(examples, got):
-            want_tokens, want = reference_generate(m, ex, beam_size)
+            want_tokens, want = reference_generate(m, ex, beam_size, max_len=10)
             assert tokens == want_tokens
             assert result.token_ids == want.token_ids
             assert result.logp == want.logp
@@ -627,4 +625,4 @@ def test_generate_many_matches_per_hypothesis_tape_search():
 def test_generate_many_rejects_zero_beam():
     m, examples = desk_model()
     with pytest.raises(ValueError):
-        m.generate_many(examples[:1], beam_size=0)
+        m.generate_many(examples[:1], beam_size=0, max_len=10)

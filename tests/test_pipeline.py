@@ -6,6 +6,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from qaharvest.corpus import AnswerSpan, build_vocab, paragraph_from_text, parse_squad
 from qaharvest.extractor import ExtractorConfig, ExtractorModel
 from qaharvest.extractor.model import ExtractionResult
@@ -47,7 +49,7 @@ class StubGenerator:
         self.logp = logp
         self.seen = []
 
-    def generate_many(self, examples, beam_size=None):
+    def generate_many(self, examples, beam_size, max_len):
         self.seen.extend(examples)
         result = BeamResult([], self.logp, "unterminated" not in self.flags, list(self.flags))
         return [(list(self.tokens), result) for _ in examples]
@@ -187,18 +189,17 @@ class OneSpanAtATime:
     def __init__(self, model):
         self.model = model
 
-    def generate_many(self, examples, beam_size=None):
-        return [self.model.generate_many([ex], beam_size)[0] for ex in examples]
+    def generate_many(self, examples, beam_size, max_len):
+        return [self.model.generate_many([ex], beam_size, max_len)[0] for ex in examples]
 
 
 def test_lockstep_decoding_matches_span_at_a_time():
     model, _ = tiny_generator(seed=3)
-    model.config.max_decode_len = 6
     paras = number_paragraphs(3)
     extractor = StubExtractor({p.key(): spans for p, spans in paras})
     assert all(len(spans) >= 2 for _, spans in paras)
-    together, report = harvest([p for p, _ in paras], extractor, model)
-    alone, alone_report = harvest([p for p, _ in paras], extractor, OneSpanAtATime(model))
+    together, report = harvest([p for p, _ in paras], extractor, model, max_decode_len=6)
+    alone, alone_report = harvest([p for p, _ in paras], extractor, OneSpanAtATime(model), max_decode_len=6)
     assert together
     assert [r.to_json() for r in together] == [r.to_json() for r in alone]
     assert report == alone_report
@@ -206,10 +207,9 @@ def test_lockstep_decoding_matches_span_at_a_time():
 
 def test_report_counts_batched_decode_steps():
     model, _ = tiny_generator(seed=3)
-    model.config.max_decode_len = 6
     paras = number_paragraphs(2)
     extractor = StubExtractor({p.key(): spans for p, spans in paras})
-    _, report = harvest([p for p, _ in paras], extractor, model)
+    _, report = harvest([p for p, _ in paras], extractor, model, max_decode_len=6)
     # every search here runs to the cap, so each paragraph takes 6 steps
     # and scores more than one hypothesis per step from step 2 on
     assert report.unterminated == report.records
@@ -284,7 +284,7 @@ def test_pipeline_config_roundtrip(tmp_path):
     assert PipelineConfig.from_json(path) == cfg
 
 
-@pytest.mark.parametrize("field", ["beam_size", "max_decode_len"])
+@pytest.mark.parametrize("field", ["beam_size", "max_decode_len", "span_cap"])
 def test_pipeline_config_rejects_widths_below_one(field):
     with pytest.raises(ValueError, match=field):
         PipelineConfig("e.ckpt", "q.ckpt", "qv.json", "ew.json", "ec.json", **{field: 0})
@@ -308,6 +308,27 @@ def test_pipeline_config_rejects_non_configs(tmp_path, raw, needle):
         PipelineConfig.from_json(path)
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@pytest.mark.parametrize("cls", [GeneratorConfig, ExtractorConfig, PipelineConfig])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_from_dict_builds_or_raises_value_error(cls, data):
+    names = [f.name for f in dataclasses.fields(cls)] + ["stranger"]
+    raw = data.draw(st.dictionaries(st.sampled_from(names), JSON_VALUES))
+    try:
+        config = cls.from_dict(raw)
+    except ValueError:
+        return
+    # no JSON list or object gets into a built config
+    assert all(isinstance(getattr(config, f.name), (str, int, float, type(None))) for f in dataclasses.fields(cls))
+
+
 def tiny_generator(seed=0):
     cfg = GeneratorConfig.desk(word_dim=4, hidden_dim=3, coref_feat_dim=2, answer_feat_dim=2)
     _, examples = qg_overfit_corpus(1)
@@ -326,7 +347,7 @@ def test_load_generator_restores_model(tmp_path):
     assert loaded.config == model.config
     for p in model.store:
         assert (loaded.store[p.name].data == p.data).all()
-    assert loaded.generate(examples[0])[0] == model.generate(examples[0])[0]
+    assert loaded.generate(examples[0], 3, 30)[0] == model.generate(examples[0], 3, 30)[0]
 
 
 def saved_extractor(tmp_path, cfg, meta):

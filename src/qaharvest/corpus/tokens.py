@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 
 __all__ = ["Token", "Paragraph", "tokenize", "split_sentences", "paragraph_from_text"]
 
-_TERMINALS = frozenset(".?!")
-
 
 @dataclass(frozen=True)
 class Token:
@@ -83,7 +81,7 @@ def split_sentences(text: str, tokens: list[Token]) -> list[list[Token]]:
     current: list[Token] = []
     for idx, tok in enumerate(tokens):
         current.append(tok)
-        if not all(c in _TERMINALS for c in tok.surface):
+        if tok.surface.strip(".?!"):
             continue
         if idx + 1 == len(tokens):
             break

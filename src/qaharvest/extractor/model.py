@@ -8,11 +8,19 @@ default softmax-normalized per token, which a linear-chain CRF scores
 jointly with a learned transition matrix. Decoding is Viterbi followed
 by BIO span parsing; spans that would cross a sentence boundary are
 dropped and counted rather than emitted.
+
+Prediction builds no autodiff tape: ``emission_rows`` computes the
+emissions on plain arrays through ``bilstm_rows``, running the char
+BiLSTM once per paragraph over all of its unique words, grouped by
+length, and equals ``emissions`` bit for bit. The tape methods
+(``char_rep``, ``token_inputs``, ``emissions``) serve training only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..corpus.tagging import ANSWER_TAGS, AnswerSpan
 from ..corpus.tokens import Paragraph
@@ -25,10 +33,13 @@ from ..numerics import (
     add,
     apply_dropout,
     bilstm,
+    bilstm_rows,
     concat,
     matmul,
+    matvec_rows,
     row,
     softmax_rows,
+    stable_softmax,
     stack,
 )
 from .config import ExtractorConfig
@@ -131,6 +142,39 @@ class ExtractorModel:
         logits = stack([add(matmul(self.emit_proj, z), self.emit_bias) for z in seq])
         return softmax_rows(logits) if self.config.normalize_emissions else logits
 
+    def emission_rows(self, surfaces: list[str], ner_tags: list[str]) -> np.ndarray:
+        """``emissions`` with dropout off, on plain arrays and bit for bit.
+
+        The char BiLSTM reads each unique surface once, all surfaces of
+        one length as one batch; the word layers read the paragraph as a
+        batch of one.
+        """
+        if not surfaces:
+            raise ValueError("empty sequence")
+        if len(surfaces) != len(ner_tags):
+            raise ValueError("surfaces and NER tags do not align")
+        by_length: dict[int, list[str]] = {}
+        for surf in dict.fromkeys(surfaces):
+            by_length.setdefault(len(surf), []).append(surf)
+        char_reps: dict[str, np.ndarray] = {}
+        for words in by_length.values():
+            ids = [[self.char_vocab.id_of(c) for c in w] for w in words]
+            _, _, (fh, _), (bh, _) = bilstm_rows(self.char_emb.data[ids], self.char_fwd, self.char_bwd)
+            char_reps.update(zip(words, np.concatenate([fh, bh], axis=1)))
+        seq = np.concatenate(
+            [
+                self.word_emb.data[[self.word_vocab.id_of(s) for s in surfaces]],
+                np.stack([char_reps[s] for s in surfaces]),
+                self.ner_emb.data[[_NER_ID[t] for t in ner_tags]],
+            ],
+            axis=1,
+        )
+        for fwd_cell, bwd_cell in self.layers:
+            fwd, bwd, _, _ = bilstm_rows(seq[None], fwd_cell, bwd_cell)
+            seq = np.concatenate([fwd[0], bwd[0]], axis=1)
+        logits = matvec_rows(self.emit_proj.data, seq) + self.emit_bias.data
+        return stable_softmax(logits) if self.config.normalize_emissions else logits
+
     # ------------------------------------------------------- loss / decode
 
     def nll(self, ex: ExtractorExample, train: bool = False, rng: RngState | None = None) -> Tensor:
@@ -142,7 +186,7 @@ class ExtractorModel:
         if not tokens:
             return ExtractionResult([], [], False, 0)
         ner = self.ner_tagger(paragraph)
-        P = self.emissions([t.surface for t in tokens], ner)
+        P = self.emission_rows([t.surface for t in tokens], ner)
         ids, _ = viterbi(P, self.transitions)
         tags = [ANSWER_TAGS[i] for i in ids]
         decoded = decode_spans(tags)

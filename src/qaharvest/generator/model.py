@@ -13,18 +13,21 @@ encoder input is (F_coref + F_ans + W,), encoder states are (H,) per
 direction, token vectors h_i and the decoder state are (2H,), and the
 output projection maps (4H,) -> vocabulary logits.
 
-Training and the gradient audit decode through ``decode_step`` on the
-autodiff tape. Generation builds no tape for decoding: ``generate_many``
-runs one beam search per sentence, all in lockstep, and each step scores
-every live hypothesis of every search with ``decode_rows``, which stacks
-their states into (rows x 2H) matrices and reads ``out.proj`` once for
-the whole batch; a wide ``out.proj`` product is split across the usable
-CPUs. It shares the sigmoid, softmax and LSTM formulas with the tape ops
-and matches ``decode_step`` bit for bit where the tape's products run on
-one BLAS thread. Its own values are the same at any BLAS thread count
-and CPU count (see ``matvec_rows``), and each hypothesis's values depend
-only on its own search, so a harvest record depends only on its own
-paragraph and span.
+Training and the gradient audit encode and decode on the autodiff tape
+(``embed_inputs``, ``encode``, ``decode_step``); generation builds no
+tape at all. ``encoder_rows`` encodes the sentences through
+``bilstm_rows``, sentences of one length as one batch. ``generate_many``
+then runs one beam search per sentence, all in lockstep, and each step
+scores every live hypothesis of every search with ``decode_rows``, which
+stacks their states into (rows x 2H) matrices and reads ``out.proj``
+once for the whole batch; a wide ``out.proj`` product is split across
+the usable CPUs. Both share the sigmoid, softmax and LSTM formulas with
+the tape ops and match ``encode`` and ``decode_step`` bit for bit where
+the tape's products run on one BLAS thread. Their own values are the
+same at any BLAS thread count and CPU count (see ``matvec_rows``). A
+sentence's encoding depends only on that sentence and a hypothesis's
+values only on its own search, so a harvest record depends only on its
+own paragraph and span.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from ..numerics import (
     Tensor,
     apply_dropout,
     bilstm,
+    bilstm_rows,
     clamp_min,
     concat,
     dot,
@@ -79,12 +83,11 @@ _ANSWER_TAG_ID = {t: i for i, t in enumerate(ANSWER_TAGS)}
 @dataclass
 class EncoderOutput:
     """Per-token encoder states (n x 2H) plus the final directional
-    states used to seed the decoder, and the tokens they encode."""
+    states used to seed the decoder."""
 
     hidden: Tensor
     fwd_final: tuple[Tensor, Tensor]
     bwd_final: tuple[Tensor, Tensor]
-    source_tokens: list[str]
 
 
 @dataclass
@@ -164,13 +167,13 @@ class QGModel:
             inputs.append(concat([d, a, x]))
         return inputs
 
-    def encode(self, inputs: list[Tensor], source_tokens: list[str], train: bool = False, rng: RngState | None = None) -> EncoderOutput:
+    def encode(self, inputs: list[Tensor], train: bool = False, rng: RngState | None = None) -> EncoderOutput:
         if not inputs:
             raise ValueError("empty sequence")
         fwd, bwd, fwd_final, bwd_final = bilstm(inputs, self.enc_fwd, self.enc_bwd)
         rows = [concat([f, b]) for f, b in zip(fwd, bwd)]
         rows = [apply_dropout(r, rng, self.config.dropout, train) for r in rows]
-        return EncoderOutput(stack(rows), fwd_final, bwd_final, list(source_tokens))
+        return EncoderOutput(stack(rows), fwd_final, bwd_final)
 
     def initial_state(self, enc: EncoderOutput) -> tuple[Tensor, Tensor]:
         """Decoder starts from the concatenated final directional states."""
@@ -178,6 +181,42 @@ class QGModel:
             concat([enc.fwd_final[0], enc.bwd_final[0]]),
             concat([enc.fwd_final[1], enc.bwd_final[1]]),
         )
+
+    def encoder_rows(self, examples: list[GeneratorExample]) -> list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]]:
+        """``encode(embed_inputs(ex))`` and ``initial_state`` with dropout
+        off, on plain arrays and bit for bit: per example, the encoder
+        states (n x 2H) and the decoder's initial (h, c). Examples of one
+        length run as one batch; each example's values depend only on
+        itself."""
+        cfg = self.config
+        by_length: dict[int, list[int]] = {}
+        for i, ex in enumerate(examples):
+            by_length.setdefault(len(ex.tokens), []).append(i)
+        out: list = [None] * len(examples)
+        for idx in by_length.values():
+            group = [examples[i] for i in idx]
+            coref = self.coref_emb.data[[[_COREF_TAG_ID[t] for t in ex.coref_tags] for ex in group]]
+            if cfg.use_gating:
+                # gate_coref_features' formula, in its order
+                scores = np.array([ex.scores for ex in group], dtype=np.float64)
+                if not cfg.use_mention_scores:
+                    scores = np.zeros_like(scores)
+                pre = matvec_rows(self.gate_feature_weight.data, coref.reshape(-1, coref.shape[2])).reshape(coref.shape)
+                pre = pre + self.gate_score_weight.data * scores[:, :, None] + self.gate_bias.data
+                coref = np.maximum(pre, 0.0) * coref
+            xs = np.concatenate(
+                [
+                    coref,
+                    self.answer_emb.data[[[_ANSWER_TAG_ID[t] for t in ex.answer_tags] for ex in group]],
+                    self.word_emb.data[[[self.vocab.id_of(t) for t in ex.tokens] for ex in group]],
+                ],
+                axis=2,
+            )
+            fwd, bwd, (fh, fc), (bh, bc) = bilstm_rows(xs, self.enc_fwd, self.enc_bwd)
+            hidden = np.concatenate([fwd, bwd], axis=2)
+            for b, i in enumerate(idx):
+                out[i] = (hidden[b], (np.concatenate([fh[b], bh[b]]), np.concatenate([fc[b], bc[b]])))
+        return out
 
     # ------------------------------------------------------------ decoder
 
@@ -223,7 +262,7 @@ class QGModel:
         stays finite, with the clamp counted.
         """
         inputs = self.embed_inputs(ex, train, rng)
-        enc = self.encode(inputs, ex.tokens, train, rng)
+        enc = self.encode(inputs, train, rng)
         dyn = DynamicVocab(self.vocab, ex.tokens)
         state = self.initial_state(enc)
         targets = [dyn.id_of(t) for t in ex.question] + [EOS_ID]
@@ -310,13 +349,9 @@ class QGModel:
         width and the decode length are settings of the run, not of the
         model, so the caller gives both. Returns (question tokens,
         BeamResult) per example, in order."""
-        sources = []
-        init_states = []
-        for ex in examples:
-            enc = self.encode(self.embed_inputs(ex), ex.tokens)
-            sources.append((enc.hidden.data, DynamicVocab(self.vocab, ex.tokens)))
-            h, c = self.initial_state(enc)
-            init_states.append((h.data, c.data))
+        encoded = self.encoder_rows(examples)
+        sources = [(hidden, DynamicVocab(self.vocab, ex.tokens)) for (hidden, _), ex in zip(encoded, examples)]
+        init_states = [state for _, state in encoded]
         results = beam_search_many(
             lambda rows: self.decode_rows(sources, rows),
             init_states,

@@ -71,7 +71,7 @@ def _check_encode(seed: int) -> float:
     ] + [p for cell in cells for p in (cell.w_input, cell.w_hidden, cell.bias)]
 
     def loss():
-        enc = model.encode(model.embed_inputs(ex), ex.tokens)
+        enc = model.encode(model.embed_inputs(ex))
         h0, c0 = model.initial_state(enc)
         return tsum(enc.hidden) + tsum(h0) + tsum(c0)
 
@@ -93,7 +93,7 @@ def _check_decode_step(seed: int) -> float:
     ]
 
     def loss():
-        enc = model.encode(model.embed_inputs(ex), ex.tokens)
+        enc = model.encode(model.embed_inputs(ex))
         state = model.initial_state(enc)
         step = model.decode_step(model.prev_embedding(SOS_ID), state, enc, dyn)
         nll = -log(clamp_min(pick(step.dist, target), 1e-12))

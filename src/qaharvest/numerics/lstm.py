@@ -5,9 +5,12 @@ candidate], so one matmul per step covers all four gates. With all
 parameters zero and c_prev = 0 the cell outputs (0, 0): the gates sit at
 sigmoid(0) = 0.5 and the candidate at tanh(0) = 0.
 
-``lstm_step`` builds tape nodes for training, and ``bilstm`` runs it
-over a sequence in both directions; ``lstm_rows`` is the same step on
-plain arrays for a batch of rows at once, for inference.
+``lstm_step`` builds tape nodes, and ``bilstm`` runs it over a sequence
+in both directions; only training and the gradient audit use them.
+Inference builds no tape: ``lstm_rows`` is the same step on plain arrays
+for a batch of rows at once, and ``bilstm_rows`` runs it over a batch of
+equal-length sequences in both directions. Both match the tape ops bit
+for bit, and a row's values do not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .params import ParameterStore
 from .rng import RngState
 from .tensor import Tensor, add, matmul, matvec_rows, mul, narrow, sigmoid, stable_sigmoid, tanh
 
-__all__ = ["LstmCellParams", "lstm_step", "bilstm", "lstm_rows"]
+__all__ = ["LstmCellParams", "lstm_step", "bilstm", "lstm_rows", "bilstm_rows"]
 
 
 class LstmCellParams:
@@ -72,10 +75,45 @@ def lstm_rows(xs: np.ndarray, hs: np.ndarray, cs: np.ndarray, p: LstmCellParams)
     """``lstm_step`` on every row of (xs, hs, cs), without a tape; each
     output row equals that step's result for the same inputs bit for bit
     (the products go through ``matvec_rows``)."""
+    return _lstm_rows_projected(matvec_rows(p.w_input.data, xs), hs, cs, p)
+
+
+def _lstm_rows_projected(x_proj: np.ndarray, hs: np.ndarray, cs: np.ndarray, p: LstmCellParams) -> tuple[np.ndarray, np.ndarray]:
+    """``lstm_rows`` given each row's input product ``W_x x``."""
     h = p.hidden_dim
-    pre = matvec_rows(p.w_input.data, xs) + matvec_rows(p.w_hidden.data, hs) + p.bias.data
-    gate_in = stable_sigmoid(pre[:, :h])
-    gate_forget = stable_sigmoid(pre[:, h : 2 * h])
-    gate_out = stable_sigmoid(pre[:, 2 * h : 3 * h])
-    c = gate_forget * cs + gate_in * np.tanh(pre[:, 3 * h :])
-    return gate_out * np.tanh(c), c
+    pre = x_proj + matvec_rows(p.w_hidden.data, hs) + p.bias.data
+    # the sigmoid is elementwise, so one call covers the three gates
+    gates = stable_sigmoid(pre[:, : 3 * h])
+    c = gates[:, h : 2 * h] * cs + gates[:, :h] * np.tanh(pre[:, 3 * h :])
+    return gates[:, 2 * h :] * np.tanh(c), c
+
+
+def bilstm_rows(
+    xs: np.ndarray, fwd_cell: LstmCellParams, bwd_cell: LstmCellParams
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``bilstm`` over a batch of equal-length sequences, without a tape.
+
+    ``xs`` is (B, T, I). Returns the forward and the backward outputs,
+    each (B, T, H) in sequence order, and each direction's final (h, c),
+    each (B, H). Every step is ``lstm_rows`` over the batch, with the
+    input products of all steps taken in one ``matvec_rows`` call ahead
+    of the recurrence; a row of that call does not depend on the rest of
+    its batch, so sequence b's values equal ``bilstm`` on that sequence
+    alone, bit for bit.
+    """
+    batch, steps, width = xs.shape
+
+    def run(cell: LstmCellParams, order) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        x_proj = matvec_rows(cell.w_input.data, xs.reshape(batch * steps, width))
+        x_proj = x_proj.reshape(batch, steps, 4 * cell.hidden_dim)
+        h = np.zeros((batch, cell.hidden_dim))
+        c = np.zeros((batch, cell.hidden_dim))
+        out = np.empty((batch, steps, cell.hidden_dim))
+        for t in order:
+            h, c = _lstm_rows_projected(x_proj[:, t], h, c, cell)
+            out[:, t] = h
+        return out, (h, c)
+
+    fwd, fwd_final = run(fwd_cell, range(steps))
+    bwd, bwd_final = run(bwd_cell, reversed(range(steps)))
+    return fwd, bwd, fwd_final, bwd_final

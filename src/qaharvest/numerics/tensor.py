@@ -63,6 +63,8 @@ __all__ = [
 # of 64 rows x 1024 float64 columns (512 KiB) stays in cache while every
 # vector of a batch is multiplied against it.
 _MATVEC_BLOCK_ROWS = 64
+# A matrix no larger than one such block is multiplied whole, in one call.
+_WHOLE_MATRIX_VALUES = _MATVEC_BLOCK_ROWS * 1024
 # numpy's matmul releases the interpreter lock only when its output has
 # more values than this, so a block run on another thread must be larger.
 _GIL_FREE_OUTPUT = 500
@@ -102,7 +104,8 @@ def _matvec_pool() -> ThreadPoolExecutor:
 
 def stable_sigmoid(d: np.ndarray) -> np.ndarray:
     """Logistic function, split by sign so exp never overflows."""
-    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def stable_softmax(z: np.ndarray) -> np.ndarray:
@@ -118,7 +121,8 @@ def matvec_rows(w: np.ndarray, xs: np.ndarray) -> np.ndarray:
     makes, so it does not depend on the batch it was computed in; a GEMM
     would sum in another order and differ in the last bits. Walking ``w``
     in row blocks with the whole batch per block reads ``w`` from memory
-    once per call instead of once per vector.
+    once per call instead of once per vector. A matrix of at most
+    ``_WHOLE_MATRIX_VALUES`` values is one block, multiplied in one call.
 
     A product of at least ``_PARALLEL_MIN_FMAS`` multiply-adds is cut
     into contiguous runs of blocks, one per usable CPU, and the runs are
@@ -133,6 +137,8 @@ def matvec_rows(w: np.ndarray, xs: np.ndarray) -> np.ndarray:
     whole wide matrix is not).
     """
     rows, batch = w.shape[0], xs.shape[0]
+    if w.size <= _WHOLE_MATRIX_VALUES:
+        return np.matmul(w, xs[:, :, None])[:, :, 0]
     out = np.empty((batch, rows))
     if out.size == 0:
         return out

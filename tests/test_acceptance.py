@@ -107,7 +107,7 @@ def test_decode_distributions_normalized():
         h = model.config.hidden_dim
         for _ in range(250):
             ex = examples[rng.next_below(len(examples))]
-            enc = model.encode(model.embed_inputs(ex), ex.tokens)
+            enc = model.encode(model.embed_inputs(ex))
             dyn = DynamicVocab(model.vocab, ex.tokens)
             state = (Tensor(rng.uniform(-1.0, 1.0, (2 * h,))), Tensor(rng.uniform(-1.0, 1.0, (2 * h,))))
             prev = Tensor(rng.uniform(-1.0, 1.0, (model.config.word_dim,)))

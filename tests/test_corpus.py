@@ -1,4 +1,5 @@
 import json
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,35 @@ def test_sentence_split_question_mark():
 def test_sentence_split_no_terminal():
     p = paragraph_from_text("a", 0, "no terminal punctuation here")
     assert len(p.sentences) == 1
+
+
+def reference_split(text, tokens):
+    """The sentence splitter's earlier per-character terminal test."""
+    sentences, current = [], []
+    for idx, tok in enumerate(tokens):
+        current.append(tok)
+        if not all(c in ".?!" for c in tok.surface):
+            continue
+        if idx + 1 == len(tokens):
+            break
+        nxt = tokens[idx + 1]
+        gap = text[tok.char_end : nxt.char_start]
+        lead = text[nxt.char_start]
+        if gap and gap.isspace() and (lead.isupper() or lead.isdigit()):
+            sentences.append(current)
+            current = []
+    if current:
+        sentences.append(current)
+    return sentences
+
+
+@given(st.lists(st.sampled_from(list(string.ascii_letters + string.digits + ".?! ") + ["u.s."]), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_sentence_split_matches_reference(pieces):
+    text = "".join(pieces)
+    tokens = tokenize(text)
+    p = paragraph_from_text("a", 0, text)
+    assert p.sentences == (reference_split(text, tokens) if tokens else [])
 
 
 # ----------------------------------------------------------- span ops

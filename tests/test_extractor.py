@@ -154,6 +154,24 @@ def test_emissions_misaligned_rejected():
         tiny_model().emissions([], [])
 
 
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_emission_rows_match_tape_emissions_bitwise(normalize, depth):
+    model = tiny_model(seed=5, normalize_emissions=normalize, depth=depth, init_scale=1.0)
+    # repeated surfaces, one-character words, and "%" outside the char vocab
+    surfaces = ["alice", "earned", "42", "q", "points", "alice", "%x", ".", "42", "austin"]
+    ner = ["PER", "O", "NUM", "O", "O", "PER", "O", "O", "NUM", "LOC"]
+    assert model.char_vocab.id_of("%") == model.char_vocab.id_of("<unk>")
+    assert np.array_equal(model.emission_rows(surfaces, ner), model.emissions(surfaces, ner).data)
+
+
+def test_emission_rows_misaligned_rejected():
+    with pytest.raises(ValueError):
+        tiny_model().emission_rows(["a", "b"], ["O"])
+    with pytest.raises(ValueError):
+        tiny_model().emission_rows([], [])
+
+
 # ------------------------------------------------------------------ crf
 
 

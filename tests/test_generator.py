@@ -182,28 +182,28 @@ def test_encode_zero_params_zero_states():
     for p in m.store:
         p.data[:] = 0.0
     ex = example()
-    enc = m.encode(m.embed_inputs(ex), ex.tokens)
+    enc = m.encode(m.embed_inputs(ex))
     assert np.array_equal(enc.hidden.data, np.zeros((6, 2 * cfg.hidden_dim)))
 
 
 def test_encode_length_matches():
     m = tiny_model()
     ex = example()
-    enc = m.encode(m.embed_inputs(ex), ex.tokens)
+    enc = m.encode(m.embed_inputs(ex))
     assert enc.hidden.data.shape == (len(ex.tokens), 2 * m.config.hidden_dim)
 
 
 def test_encode_empty_rejected():
     m = tiny_model()
     with pytest.raises(ValueError):
-        m.encode([], [])
+        m.encode([])
 
 
 def test_encode_single_token_composes_two_lstm_steps():
     m = tiny_model(seed=5)
     ex = example(tokens=["panthers"], coref=["O"], scores=[0.0], answer=["B_ANS"], question=["who", "?"])
     (e,) = m.embed_inputs(ex)
-    enc = m.encode([e], ex.tokens)
+    enc = m.encode([e])
     h = m.config.hidden_dim
     zero = Tensor(np.zeros(h))
     fh, _ = lstm_step(e, zero, zero, m.enc_fwd)
@@ -214,16 +214,33 @@ def test_encode_single_token_composes_two_lstm_steps():
 def test_encode_pure():
     m = tiny_model(seed=7)
     ex = example()
-    a = m.encode(m.embed_inputs(ex), ex.tokens).hidden.data
-    b = m.encode(m.embed_inputs(ex), ex.tokens).hidden.data
+    a = m.encode(m.embed_inputs(ex)).hidden.data
+    b = m.encode(m.embed_inputs(ex)).hidden.data
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("gating", [True, False])
+@pytest.mark.parametrize("mention_scores", [True, False])
+def test_encoder_rows_match_tape_encoder_bitwise(gating, mention_scores):
+    m = tiny_model(seed=6, use_gating=gating, use_mention_scores=mention_scores, coref_feat_dim=5, init_scale=1.0)
+    examples = [
+        example(),
+        example(tokens=["the", "panthers", "win", "zzz", "?", "49"], scores=[0.3, 0.9, 0.1, 0.7, 0.0, 0.2]),
+        example(tokens=["win", "49", "did"], coref=["B_PRO", "O", "O"], scores=[0.25, 0.0, 0.0], answer=["B_ANS", "O", "O"]),
+    ]
+    for ex, (hidden, (h, c)) in zip(examples, m.encoder_rows(examples)):
+        enc = m.encode(m.embed_inputs(ex))
+        h0, c0 = m.initial_state(enc)
+        assert np.array_equal(hidden, enc.hidden.data)
+        assert np.array_equal(h, h0.data)
+        assert np.array_equal(c, c0.data)
 
 
 # ------------------------------------------------------- decode steps
 
 
 def decode_once(m, ex):
-    enc = m.encode(m.embed_inputs(ex), ex.tokens)
+    enc = m.encode(m.embed_inputs(ex))
     dyn = DynamicVocab(m.vocab, ex.tokens)
     state = m.initial_state(enc)
     return m.decode_step(m.prev_embedding(SOS_ID), state, enc, dyn), dyn
@@ -273,7 +290,7 @@ def test_copy_mass_sums_over_duplicate_surfaces():
 def test_copy_support_is_source_vocabulary():
     m = tiny_model(seed=8)
     ex = example()
-    enc = m.encode(m.embed_inputs(ex), ex.tokens)
+    enc = m.encode(m.embed_inputs(ex))
     dyn = DynamicVocab(m.vocab, ex.tokens)
     state = m.initial_state(enc)
     step = m.decode_step(m.prev_embedding(SOS_ID), state, enc, dyn)
@@ -309,7 +326,7 @@ def test_nll_matches_manual_teacher_forcing():
     loss, n_tok, clamped = m.nll(ex)
     assert n_tok == len(ex.question) + 1
     assert clamped == 0
-    enc = m.encode(m.embed_inputs(ex), ex.tokens)
+    enc = m.encode(m.embed_inputs(ex))
     dyn = DynamicVocab(m.vocab, ex.tokens)
     state = m.initial_state(enc)
     prev = SOS_ID
@@ -559,7 +576,7 @@ def test_decode_rows_match_tape_decode_step():
     rng = RngState(5)
     sources = []
     for ex in examples[:3]:
-        enc = m.encode(m.embed_inputs(ex), ex.tokens)
+        enc = m.encode(m.embed_inputs(ex))
         sources.append((enc, DynamicVocab(m.vocab, ex.tokens)))
     rows = []
     for s, (enc, dyn) in enumerate(sources):
@@ -588,7 +605,7 @@ def test_decode_rows_match_tape_decode_step():
 def reference_generate(m, ex, beam_size, max_len):
     """The search as it ran before lockstep decoding: one tape
     decode_step per hypothesis through the single-search adapter."""
-    enc = m.encode(m.embed_inputs(ex), ex.tokens)
+    enc = m.encode(m.embed_inputs(ex))
     dyn = DynamicVocab(m.vocab, ex.tokens)
 
     def step(prev_id, state):

@@ -16,6 +16,8 @@ from qaharvest.numerics import (
     RngState,
     Tensor,
     apply_dropout,
+    bilstm,
+    bilstm_rows,
     clamp_min,
     concat,
     dot,
@@ -392,6 +394,24 @@ def test_lstm_rows_match_lstm_step_bitwise():
         h, c = lstm_step(Tensor(x), Tensor(h0), Tensor(c0), cell)
         assert np.array_equal(h.data, h1)
         assert np.array_equal(c.data, c1)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("steps", [1, 5])
+def test_bilstm_rows_match_tape_bilstm_bitwise(batch, steps):
+    rng = RngState(6)
+    store = ParameterStore()
+    fwd_cell = LstmCellParams(store, "fwd", 5, 6, rng)
+    bwd_cell = LstmCellParams(store, "bwd", 5, 4, rng)
+    xs = rng.uniform(-1, 1, (batch, steps, 5))
+    fwd, bwd, (fh, fc), (bh, bc) = bilstm_rows(xs, fwd_cell, bwd_cell)
+    assert fwd.shape == (batch, steps, 6) and bwd.shape == (batch, steps, 4)
+    for b in range(batch):
+        tf, tb, (tfh, tfc), (tbh, tbc) = bilstm([Tensor(x) for x in xs[b]], fwd_cell, bwd_cell)
+        assert np.array_equal(np.stack([t.data for t in tf]), fwd[b])
+        assert np.array_equal(np.stack([t.data for t in tb]), bwd[b])
+        for tape, rows in ((tfh, fh), (tfc, fc), (tbh, bh), (tbc, bc)):
+            assert np.array_equal(tape.data, rows[b])
 
 
 def test_lstm_dimension_mismatch():

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from qaharvest.corpus import AnswerSpan, build_vocab, paragraph_from_text, parse_squad
+from qaharvest.corpus.tagging import ANSWER_TAGS, B_ANS
 from qaharvest.extractor import ExtractorConfig, ExtractorModel
 from qaharvest.extractor.model import ExtractionResult
 from qaharvest.generator import GeneratorConfig, QGModel
 from qaharvest.generator.beam import BeamResult
-from qaharvest.numerics import RngState
+from qaharvest.numerics import RngState, Tensor
 from qaharvest.pipeline import (
     HarvestRecord,
     PipelineConfig,
@@ -217,6 +218,27 @@ def test_report_counts_batched_decode_steps():
     assert report.decode_rows > report.decode_steps * max(len(spans) for _, spans in paras)
     per_step = report.decode_rows / report.decode_steps
     assert f"{per_step:.1f} hypotheses per step" in report.summary()
+
+
+def test_harvest_builds_no_tape(monkeypatch):
+    paras = number_paragraphs(2)
+    surfaces = [t.surface for p, _ in paras for s in p.sentences for t in s]
+    cfg = ExtractorConfig.desk(normalize_emissions=False)
+    extractor = ExtractorModel(cfg, build_vocab(surfaces, 100), build_vocab(list("".join(surfaces)), 100), RngState(2))
+    # every token tags B_ANS, so every paragraph yields spans to decode
+    extractor.emit_bias.data[ANSWER_TAGS.index(B_ANS)] = 100.0
+    generator = QGModel(GeneratorConfig.desk(), build_vocab(surfaces, 100), RngState(3))
+    built = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    records, _ = harvest([p for p, _ in paras], extractor, generator, span_cap=3, max_decode_len=4)
+    assert len(records) == 3 * len(paras)
+    assert len(built) == 0
 
 
 def test_unterminated_flag_propagates():

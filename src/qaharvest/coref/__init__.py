@@ -5,7 +5,6 @@ pronouns with BIO tags and scores."""
 
 from .mentions import PRONOUNS, Mention, find_mentions
 from .resolve import (
-    CachedMentionScorer,
     CorefCluster,
     NoAntecedentError,
     distance_scorer,
@@ -21,7 +20,6 @@ __all__ = [
     "CorefCluster",
     "NoAntecedentError",
     "distance_scorer",
-    "CachedMentionScorer",
     "resolve",
     "select_representative",
     "COREF_TAGS",

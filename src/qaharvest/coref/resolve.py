@@ -2,13 +2,11 @@
 
 A scorer is any callable (mention_a, mention_b, sentences) -> float in
 [0, 1], deterministic in its inputs. The bundled distance scorer decays
-with sentence distance; a file-backed cache can replay scores produced
-by an external model.
+with sentence distance.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Callable
 
 from ..corpus.tokens import Paragraph
@@ -18,7 +16,6 @@ __all__ = [
     "CorefCluster",
     "NoAntecedentError",
     "distance_scorer",
-    "CachedMentionScorer",
     "resolve",
     "select_representative",
 ]
@@ -49,40 +46,6 @@ class CorefCluster:
 def distance_scorer(a: Mention, b: Mention, sentences: list[list[str]]) -> float:
     """1 / (1 + sentence distance); same sentence scores 1."""
     return 1.0 / (1.0 + abs(a.sentence_index - b.sentence_index))
-
-
-class CachedMentionScorer:
-    """Replays mention-pair scores recorded as JSONL, one object per line:
-    {"a": [sent, start, end], "b": [sent, start, end], "score": x}.
-    Pairs are unordered; a missing pair falls back to `fallback` when
-    given, else raises KeyError."""
-
-    def __init__(self, path, fallback: MentionScorer | None = None):
-        self.fallback = fallback
-        self._scores: dict[tuple, float] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                key = self._key(tuple(rec["a"]), tuple(rec["b"]))
-                self._scores[key] = float(rec["score"])
-
-    @staticmethod
-    def _key(a: tuple, b: tuple) -> tuple:
-        return (a, b) if a <= b else (b, a)
-
-    def __call__(self, a: Mention, b: Mention, sentences: list[list[str]]) -> float:
-        key = self._key(
-            (a.sentence_index, a.token_start, a.token_end),
-            (b.sentence_index, b.token_start, b.token_end),
-        )
-        if key in self._scores:
-            return self._scores[key]
-        if self.fallback is not None:
-            return self.fallback(a, b, sentences)
-        raise KeyError(f"no cached score for pair {key}")
 
 
 def resolve(paragraph: Paragraph, sentence_index: int, scorer: MentionScorer = distance_scorer) -> list[CorefCluster]:

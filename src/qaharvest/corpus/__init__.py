@@ -1,8 +1,6 @@
 """Data model and ingestion: tokenization with offsets, sentence
-splitting, SQuAD parsing, vocabularies, BIO answer tagging, and the
-noisy-example training-set augmentation."""
+splitting, SQuAD parsing, vocabularies, and BIO answer tagging."""
 
-from .noisy import NoisyReport, make_noisy_training_set
 from .squad import ParseReport, QAExample, parse_squad
 from .tagging import (
     ANSWER_TAGS,
@@ -44,6 +42,4 @@ __all__ = [
     "QAExample",
     "ParseReport",
     "parse_squad",
-    "NoisyReport",
-    "make_noisy_training_set",
 ]

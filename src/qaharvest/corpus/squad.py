@@ -29,7 +29,7 @@ log = logging.getLogger("qaharvest.corpus")
 
 @dataclass
 class QAExample:
-    """A gold (or harvested-noisy) answer span paired with a question.
+    """A gold answer span paired with a question.
 
     answer_bio tags the original sentence; the coreference transform
     re-projects the tags when it rewrites the token sequence.
@@ -40,7 +40,6 @@ class QAExample:
     gold_question: list[str]
     answer_bio: list[str]
     snapped: bool = False
-    noisy: bool = False
 
     @property
     def sentence(self) -> list[str]:

@@ -9,6 +9,11 @@ START = k and STOP = k+1. A path y_1..y_n scores
 and the training loss is -q(gold) + log Z with Z summed over all k^n
 paths by the forward recursion. Emissions may be raw scores or
 probability rows; nothing here assumes either.
+
+The loss is one tape node computed on plain arrays. Its gradient is the
+expected feature counts under the model minus the gold path's counts
+(Lafferty et al. 2001): the unary and pairwise marginals come from the
+forward table and a backward recursion, both in log space.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ..corpus.tagging import ANSWER_TAGS, B_ANS, I_ANS, O_TAG
-from ..numerics import Tensor, add, gather2d, logsumexp, mul, narrow, reshape, row, slice2d, tsum
-from ..numerics.tensor import as_tensor
+from ..numerics.tensor import Tensor, accum, as_tensor, node
 
 __all__ = [
     "crf_score",
@@ -32,51 +36,85 @@ __all__ = [
 ]
 
 
-def _check_shapes(P, A) -> tuple[int, int]:
-    n, k = P.data.shape
-    if A.data.shape != (k + 2, k + 2):
-        raise ValueError(f"transition matrix {A.data.shape} does not fit k={k} tags")
-    return n, k
-
-
-def crf_score(P: Tensor, A: Tensor, tags: Sequence[int]) -> Tensor:
-    """Path score q of one tag sequence, boundary transitions included."""
-    P, A = as_tensor(P), as_tensor(A)
-    n, k = _check_shapes(P, A)
-    if len(tags) != n:
-        raise ValueError("tag sequence length does not match emissions")
+def _arrays(P, A) -> tuple[np.ndarray, np.ndarray]:
+    P = P.data if isinstance(P, Tensor) else np.asarray(P, dtype=np.float64)
+    A = A.data if isinstance(A, Tensor) else np.asarray(A, dtype=np.float64)
+    n, k = P.shape
+    if A.shape != (k + 2, k + 2):
+        raise ValueError(f"transition matrix {A.shape} does not fit k={k} tags")
     if n == 0:
         raise ValueError("empty sequence")
-    tags = list(tags)
-    if any(not 0 <= t < k for t in tags):
-        raise ValueError("tag id out of range")
-    start, stop = k, k + 1
-    emit = tsum(gather2d(P, np.arange(n), tags))
-    trans = tsum(gather2d(A, [start] + tags, tags + [stop]))
-    return add(emit, trans)
+    return P, A
 
 
-def crf_log_partition(P: Tensor, A: Tensor) -> Tensor:
-    """log Z by the forward recursion, stable in log space."""
-    P, A = as_tensor(P), as_tensor(A)
-    n, k = _check_shapes(P, A)
-    if n == 0:
-        raise ValueError("empty sequence")
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    m = x.max(axis=axis, keepdims=True)
+    return np.log(np.exp(x - m).sum(axis=axis)) + m.squeeze(axis)
+
+
+def _forward(P: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.float64]:
+    """The alpha table (alpha[t, j] is log of the mass of all prefixes
+    ending in tag j at t) and log Z."""
+    n, k = P.shape
     start, stop = k, k + 1
-    inner = slice2d(A, 0, k, 0, k)
-    from_start = narrow(row(A, start), 0, k)
-    to_stop = reshape(slice2d(A, 0, k, stop, stop + 1), (k,))
-    alpha = add(row(P, 0), from_start)
+    alpha = np.empty((n, k))
+    alpha[0] = P[0] + A[start, :k]
     for t in range(1, n):
         # lattice[i, j] = alpha[i] + A[i, j], reduced over the source tag i
-        lattice = add(reshape(alpha, (k, 1)), inner)
-        alpha = add(logsumexp(lattice, axis=0), row(P, t))
-    return logsumexp(add(alpha, to_stop))
+        alpha[t] = _logsumexp(alpha[t - 1][:, None] + A[:k, :k], axis=0) + P[t]
+    return alpha, _logsumexp(alpha[n - 1] + A[:k, stop], axis=0)
+
+
+def crf_score(P, A, tags: Sequence[int]) -> np.float64:
+    """Path score q of one tag sequence, boundary transitions included."""
+    P, A = _arrays(P, A)
+    n, k = P.shape
+    tags = list(tags)
+    if len(tags) != n:
+        raise ValueError("tag sequence length does not match emissions")
+    if any(not 0 <= t < k for t in tags):
+        raise ValueError("tag id out of range")
+    emit = P[np.arange(n), tags].sum()
+    trans = A[[k] + tags, tags + [k + 1]].sum()
+    return emit + trans
+
+
+def crf_log_partition(P, A) -> np.float64:
+    """log Z by the forward recursion, stable in log space."""
+    return _forward(*_arrays(P, A))[1]
 
 
 def crf_nll(P: Tensor, A: Tensor, tags: Sequence[int]) -> Tensor:
     """-log p(tags | P, A); nonnegative, differentiable through P and A."""
-    return add(crf_log_partition(P, A), mul(crf_score(P, A, tags), -1.0))
+    P, A = as_tensor(P), as_tensor(A)
+    p, a = _arrays(P, A)
+    tags = list(tags)
+    alpha, log_z = _forward(p, a)
+    loss = log_z - crf_score(p, a, tags)
+
+    def backward(g):
+        n, k = p.shape
+        start, stop = k, k + 1
+        inner = a[:k, :k]
+        # beta[t, i] is log of the mass of all suffixes after tag i at t
+        beta = np.empty((n, k))
+        beta[n - 1] = a[:k, stop]
+        for t in range(n - 2, -1, -1):
+            beta[t] = _logsumexp(inner + (p[t + 1] + beta[t + 1]), axis=1)
+        # expected counts: the unary and pairwise marginals ...
+        d_p = np.exp(alpha + beta - log_z)
+        pairwise = np.exp(alpha[:-1, :, None] + inner + (p[1:] + beta[1:])[:, None, :] - log_z)
+        d_a = np.zeros_like(a)
+        d_a[:k, :k] = pairwise.sum(axis=0)
+        d_a[start, :k] = d_p[0]
+        d_a[:k, stop] = d_p[n - 1]
+        # ... minus the gold path's counts
+        d_p[np.arange(n), tags] -= 1.0
+        np.add.at(d_a, ([start] + tags, tags + [stop]), -1.0)
+        accum(P, g * d_p)
+        accum(A, g * d_a)
+
+    return node(np.asarray(loss), (P, A), backward)
 
 
 def viterbi(P, A) -> tuple[list[int], float]:

@@ -3,10 +3,11 @@
 A ``Tensor`` wraps a numpy array plus the tape bookkeeping needed for
 backpropagation. Only the ops the models in this package need are
 provided: elementwise arithmetic with broadcasting, matmul, sigmoid /
-tanh / relu, stable softmax and log-sum-exp, concatenation / stacking,
-and the indexing ops used for embeddings, CRF scoring, and the copy
-distribution. Gradients accumulate into ``.grad`` (a plain ndarray) on
-tensors created with ``requires_grad=True``.
+tanh / relu, stable softmax, concatenation / stacking, and the indexing
+ops used for embeddings and the copy distribution. Gradients accumulate
+into ``.grad`` (a plain ndarray) on tensors created with
+``requires_grad=True``. A loss with a hand-derived gradient becomes one
+tape node through ``node`` and ``accum``.
 
 The sigmoid and softmax formulas and a batched matrix-vector product are
 also exposed as plain ndarray functions, which tape-free inference calls
@@ -30,6 +31,8 @@ __all__ = [
     "matvec_rows",
     "Tensor",
     "as_tensor",
+    "node",
+    "accum",
     "sigmoid",
     "tanh",
     "relu",
@@ -40,17 +43,13 @@ __all__ = [
     "dot",
     "softmax",
     "softmax_rows",
-    "logsumexp",
     "concat",
     "stack",
     "row",
     "pick",
     "narrow",
-    "slice2d",
-    "gather2d",
     "scatter_add",
     "pad_to",
-    "reshape",
 ]
 
 
@@ -207,21 +206,21 @@ class Tensor:
         seen: set[int] = set()
         stack_ = [(self, False)]
         while stack_:
-            node, expanded = stack_.pop()
+            t, expanded = stack_.pop()
             if expanded:
-                order.append(node)
+                order.append(t)
                 continue
-            if id(node) in seen:
+            if id(t) in seen:
                 continue
-            seen.add(id(node))
-            stack_.append((node, True))
-            for parent in node._parents:
+            seen.add(id(t))
+            stack_.append((t, True))
+            for parent in t._parents:
                 if id(parent) not in seen:
                     stack_.append((parent, False))
-        _accum(self, np.ones((), dtype=np.float64))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        accum(self, np.ones((), dtype=np.float64))
+        for t in reversed(order):
+            if t._backward is not None and t.grad is not None:
+                t._backward(t.grad)
 
     # Operator sugar; scalars and arrays are wrapped automatically.
     def __add__(self, other):
@@ -254,13 +253,17 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``, allocating it on first use."""
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
 
 
-def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
+def node(data: np.ndarray, parents: tuple, backward) -> Tensor:
+    """Tensor holding ``data`` computed from ``parents``. When any parent
+    needs a gradient, backpropagation calls ``backward(g)`` with the
+    gradient ``g`` of ``data``, and it must ``accum`` into each parent."""
     out = Tensor(data)
     if any(p.requires_grad or p._parents for p in parents):
         out.requires_grad = True
@@ -284,10 +287,10 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        accum(a, _unbroadcast(g, a.data.shape))
+        accum(b, _unbroadcast(g, b.data.shape))
 
-    return _node(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -295,10 +298,10 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        accum(a, _unbroadcast(g * b.data, a.data.shape))
+        accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _node(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -308,21 +311,21 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if an == 2 and bn == 1:
-            _accum(a, np.outer(g, b.data))
-            _accum(b, a.data.T @ g)
+            accum(a, np.outer(g, b.data))
+            accum(b, a.data.T @ g)
         elif an == 1 and bn == 2:
-            _accum(a, b.data @ g)
-            _accum(b, np.outer(a.data, g))
+            accum(a, b.data @ g)
+            accum(b, np.outer(a.data, g))
         elif an == 2 and bn == 2:
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
+            accum(a, g @ b.data.T)
+            accum(b, a.data.T @ g)
         elif an == 1 and bn == 1:
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
+            accum(a, g * b.data)
+            accum(b, g * a.data)
         else:
             raise ValueError(f"unsupported matmul ranks ({an}, {bn})")
 
-    return _node(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def dot(a, b) -> Tensor:
@@ -335,9 +338,9 @@ def sigmoid(x) -> Tensor:
     out = stable_sigmoid(x.data)
 
     def backward(g):
-        _accum(x, g * out * (1.0 - out))
+        accum(x, g * out * (1.0 - out))
 
-    return _node(out, (x,), backward)
+    return node(out, (x,), backward)
 
 
 def tanh(x) -> Tensor:
@@ -345,9 +348,9 @@ def tanh(x) -> Tensor:
     out = np.tanh(x.data)
 
     def backward(g):
-        _accum(x, g * (1.0 - out * out))
+        accum(x, g * (1.0 - out * out))
 
-    return _node(out, (x,), backward)
+    return node(out, (x,), backward)
 
 
 def relu(x) -> Tensor:
@@ -355,9 +358,9 @@ def relu(x) -> Tensor:
     out = np.maximum(x.data, 0.0)
 
     def backward(g):
-        _accum(x, g * (x.data > 0.0))
+        accum(x, g * (x.data > 0.0))
 
-    return _node(out, (x,), backward)
+    return node(out, (x,), backward)
 
 
 def exp(x) -> Tensor:
@@ -365,9 +368,9 @@ def exp(x) -> Tensor:
     out = np.exp(x.data)
 
     def backward(g):
-        _accum(x, g * out)
+        accum(x, g * out)
 
-    return _node(out, (x,), backward)
+    return node(out, (x,), backward)
 
 
 def log(x) -> Tensor:
@@ -376,9 +379,9 @@ def log(x) -> Tensor:
         out = np.log(x.data)
 
     def backward(g):
-        _accum(x, g / x.data)
+        accum(x, g / x.data)
 
-    return _node(out, (x,), backward)
+    return node(out, (x,), backward)
 
 
 def clamp_min(x, lo: float) -> Tensor:
@@ -387,9 +390,9 @@ def clamp_min(x, lo: float) -> Tensor:
     out = np.maximum(x.data, lo)
 
     def backward(g):
-        _accum(x, g * (x.data > lo))
+        accum(x, g * (x.data > lo))
 
-    return _node(out, (x,), backward)
+    return node(out, (x,), backward)
 
 
 def tsum(x, axis: int | None = None) -> Tensor:
@@ -398,11 +401,11 @@ def tsum(x, axis: int | None = None) -> Tensor:
 
     def backward(g):
         if axis is None:
-            _accum(x, np.broadcast_to(g, x.data.shape).copy())
+            accum(x, np.broadcast_to(g, x.data.shape).copy())
         else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
+            accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
 
-    return _node(out, (x,), backward)
+    return node(out, (x,), backward)
 
 
 def softmax(x) -> Tensor:
@@ -415,9 +418,9 @@ def softmax(x) -> Tensor:
     out = stable_softmax(x.data)
 
     def backward(g):
-        _accum(x, out * (g - float(g @ out)))
+        accum(x, out * (g - float(g @ out)))
 
-    return _node(out, (x,), backward)
+    return node(out, (x,), backward)
 
 
 def softmax_rows(x) -> Tensor:
@@ -431,32 +434,11 @@ def softmax_rows(x) -> Tensor:
 
     def backward(g):
         inner = (g * out).sum(axis=1, keepdims=True)
-        _accum(x, out * (g - inner))
+        accum(x, out * (g - inner))
 
-    return _node(out, (x,), backward)
+    return node(out, (x,), backward)
 
 
-def logsumexp(x, axis: int | None = None) -> Tensor:
-    """Stable log-sum-exp; gradient is the softmax along the reduced axis."""
-    x = as_tensor(x)
-    if x.data.size == 0:
-        raise ValueError("empty distribution")
-    m = x.data.max(axis=axis, keepdims=axis is not None)
-    if axis is None:
-        out = np.log(np.exp(x.data - m).sum()) + m
-        weights = np.exp(x.data - out)
-    else:
-        out = np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True)) + m
-        weights = np.exp(x.data - out)
-        out = np.squeeze(out, axis=axis)
-
-    def backward(g):
-        if axis is None:
-            _accum(x, g * weights)
-        else:
-            _accum(x, np.expand_dims(g, axis) * weights)
-
-    return _node(np.asarray(out), (x,), backward)
 
 
 def concat(parts) -> Tensor:
@@ -468,9 +450,9 @@ def concat(parts) -> Tensor:
 
     def backward(g):
         for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[a:b])
+            accum(p, g[a:b])
 
-    return _node(data, tuple(parts), backward)
+    return node(data, tuple(parts), backward)
 
 
 def stack(rows_) -> Tensor:
@@ -480,9 +462,9 @@ def stack(rows_) -> Tensor:
 
     def backward(g):
         for i, r in enumerate(rows_):
-            _accum(r, g[i])
+            accum(r, g[i])
 
-    return _node(data, tuple(rows_), backward)
+    return node(data, tuple(rows_), backward)
 
 
 def row(x, i: int) -> Tensor:
@@ -495,7 +477,7 @@ def row(x, i: int) -> Tensor:
             x.grad = np.zeros_like(x.data)
         x.grad[i] += g
 
-    return _node(data, (x,), backward)
+    return node(data, (x,), backward)
 
 
 def pick(x, i: int) -> Tensor:
@@ -508,7 +490,7 @@ def pick(x, i: int) -> Tensor:
             x.grad = np.zeros_like(x.data)
         x.grad[i] += g
 
-    return _node(data, (x,), backward)
+    return node(data, (x,), backward)
 
 
 def narrow(x, start: int, length: int) -> Tensor:
@@ -521,35 +503,11 @@ def narrow(x, start: int, length: int) -> Tensor:
             x.grad = np.zeros_like(x.data)
         x.grad[start : start + length] += g
 
-    return _node(data, (x,), backward)
+    return node(data, (x,), backward)
 
 
-def slice2d(x, r0: int, r1: int, c0: int, c1: int) -> Tensor:
-    """Rectangular block [r0:r1, c0:c1] of a matrix."""
-    x = as_tensor(x)
-    data = x.data[r0:r1, c0:c1].copy()
-
-    def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[r0:r1, c0:c1] += g
-
-    return _node(data, (x,), backward)
 
 
-def gather2d(x, rows_idx, cols_idx) -> Tensor:
-    """Vector of x[rows[i], cols[i]] entries."""
-    x = as_tensor(x)
-    rows_idx = np.asarray(rows_idx, dtype=np.intp)
-    cols_idx = np.asarray(cols_idx, dtype=np.intp)
-    data = x.data[rows_idx, cols_idx].copy()
-
-    def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, (rows_idx, cols_idx), g)
-
-    return _node(data, (x,), backward)
 
 
 def scatter_add(base, idx, updates) -> Tensor:
@@ -560,10 +518,10 @@ def scatter_add(base, idx, updates) -> Tensor:
     np.add.at(data, idx, updates.data)
 
     def backward(g):
-        _accum(base, g)
-        _accum(updates, g[idx])
+        accum(base, g)
+        accum(updates, g[idx])
 
-    return _node(data, (base, updates), backward)
+    return node(data, (base, updates), backward)
 
 
 def pad_to(x, length: int) -> Tensor:
@@ -576,16 +534,6 @@ def pad_to(x, length: int) -> Tensor:
     data[:n] = x.data
 
     def backward(g):
-        _accum(x, g[:n])
+        accum(x, g[:n])
 
-    return _node(data, (x,), backward)
-
-
-def reshape(x, shape: tuple[int, ...]) -> Tensor:
-    x = as_tensor(x)
-    data = x.data.reshape(shape)
-
-    def backward(g):
-        _accum(x, g.reshape(x.data.shape))
-
-    return _node(data, (x,), backward)
+    return node(data, (x,), backward)

@@ -16,7 +16,6 @@ from qaharvest.corpus import AnswerSpan, build_vocab, paragraph_from_text
 from qaharvest.extractor import ExtractorConfig, ExtractorModel, make_extractor_example, train_extractor, viterbi
 from qaharvest.extractor.crf import crf_log_partition
 from qaharvest.generator import DynamicVocab, GeneratorConfig, GeneratorExample, QGModel, beam_search, train_qg
-from qaharvest.gradsuite import gradient_suite
 from qaharvest.metrics import bleu, overlap_metrics
 from qaharvest.numerics import RngState, Tensor
 from qaharvest.pipeline import harvest, transform_for_generation, write_records
@@ -81,13 +80,12 @@ def test_transform_feature_rows_championship_sentence():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_gradient_suite_under_tolerance():
-    t0 = time.perf_counter()
-    errors = gradient_suite(0)
+def test_gradient_suite_under_tolerance(gradient_audit):
+    errors, seconds = gradient_audit
     assert set(errors) == {"gate", "encode", "decode_step", "nll_loss", "crf", "crf_nll"}
     for name, err in errors.items():
         assert err < 1e-4, f"{name}: {err:.3e}"
-    assert time.perf_counter() - t0 < 30.0
+    assert seconds < 30.0
 
 
 def test_decode_distributions_normalized():

@@ -12,7 +12,6 @@ from qaharvest.cli import entry
 from qaharvest.corpus import build_vocab
 from qaharvest.extractor import ExtractorConfig
 from qaharvest.generator import GeneratorConfig
-from qaharvest.gradsuite import gradient_suite
 from qaharvest.numerics import ParameterStore
 from qaharvest.pipeline import PipelineConfig, load_generator, span_record, write_span_records
 from synth import number_paragraphs, squad_json
@@ -167,18 +166,11 @@ def test_eval_ext_floor_and_json(gold_span_file, capsys):
 # ---------------------------------------------------- gradcheck + stats
 
 
-@pytest.fixture(scope="module")
-def gradient_errors():
-    """One real gradient audit, the run ``gradcheck`` makes with no
-    --seed; the CLI tests below reuse it instead of each auditing again."""
-    return gradient_suite(0)
-
-
 @pytest.fixture()
-def audited_once(gradient_errors, monkeypatch):
+def audited_once(gradient_audit, monkeypatch):
     def suite(seed):
         assert seed == 0
-        return dict(gradient_errors)
+        return dict(gradient_audit[0])
 
     monkeypatch.setattr(cli, "gradient_suite", suite)
 

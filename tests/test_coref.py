@@ -1,15 +1,11 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaharvest.coref import (
-    CachedMentionScorer,
     CorefCluster,
     Mention,
     NoAntecedentError,
-    distance_scorer,
     find_mentions,
     resolve,
     select_representative,
@@ -90,28 +86,6 @@ def test_resolve_same_sentence_antecedent_scores_one():
     clusters = resolve(p, 0)
     c = next(c for c in clusters if c.pronouns())
     assert list(c.pronoun_scores.values()) == [pytest.approx(1.0)]
-
-
-def test_cached_scorer_replay(tmp_path):
-    path = tmp_path / "scores.jsonl"
-    rec = {"a": [1, 0, 0], "b": [0, 0, 0], "score": 0.87}
-    path.write_text(json.dumps(rec) + "\n")
-    scorer = CachedMentionScorer(path)
-    a = Mention(1, 0, 0, "pronominal")
-    b = Mention(0, 0, 0, "proper")
-    assert scorer(a, b, []) == pytest.approx(0.87)
-    assert scorer(b, a, []) == pytest.approx(0.87)  # unordered pair
-    with pytest.raises(KeyError):
-        scorer(a, Mention(2, 1, 1, "proper"), [])
-
-
-def test_cached_scorer_fallback(tmp_path):
-    path = tmp_path / "scores.jsonl"
-    path.write_text("")
-    scorer = CachedMentionScorer(path, fallback=distance_scorer)
-    a = Mention(3, 0, 0, "pronominal")
-    b = Mention(1, 0, 0, "proper")
-    assert scorer(a, b, []) == pytest.approx(1.0 / 3.0)
 
 
 # ----------------------------------------------- representative choice

@@ -12,7 +12,6 @@ from qaharvest.corpus import (
     bio_tag_answer,
     build_vocab,
     char_to_token_span,
-    make_noisy_training_set,
     paragraph_from_text,
     parse_squad,
     tokenize,
@@ -296,85 +295,3 @@ def test_parse_squad_bad_json():
 def test_parse_squad_missing_data():
     with pytest.raises(ValueError):
         parse_squad(json.dumps({"other": []}))
-
-
-# -------------------------------------------------------------- noisy
-
-
-def gold_example(text="a b c d e f g h. i j.", char_start=None, answer="d e f"):
-    raw = minimal_squad(text, [{"id": "1", "question": "What?", "answers": [{"text": answer, "answer_start": text.index(answer)}]}])
-    _, examples, _ = parse_squad(raw)
-    return examples[0]
-
-
-def test_noisy_overlap_added():
-    ex = gold_example()  # gold span = tokens 3..5 of sentence 0
-    key = ex.paragraph.key()
-    pred = AnswerSpan(0, 4, 7, 0, 0)
-    out, report = make_noisy_training_set([ex], {key: [pred]})
-    assert len(out) == 2
-    noisy = out[1]
-    assert noisy.noisy
-    assert noisy.gold_question == ex.gold_question
-    assert noisy.answer.token_range() == (4, 7)
-    assert noisy.answer_bio[4] == "B_ANS"
-    assert report.added == 1
-    assert report.noisy_fraction == 0.5
-
-
-def test_noisy_no_overlap_dropped():
-    ex = gold_example()
-    out, report = make_noisy_training_set([ex], {ex.paragraph.key(): [AnswerSpan(1, 0, 1, 0, 0)]})
-    assert len(out) == 1
-    assert report.added == 0
-
-
-def test_noisy_exact_duplicate_not_readded():
-    ex = gold_example()
-    dup = AnswerSpan(0, ex.answer.token_start, ex.answer.token_end, 0, 0)
-    out, report = make_noisy_training_set([ex], {ex.paragraph.key(): [dup]})
-    assert len(out) == 1
-    assert report.added == 0
-
-
-def test_noisy_max_overlap_wins():
-    text = "a b c d e f g h i j."
-    raw = minimal_squad(
-        text,
-        [
-            {"id": "1", "question": "First?", "answers": [{"text": "b c", "answer_start": 2}]},
-            {"id": "2", "question": "Second?", "answers": [{"text": "d e f", "answer_start": 6}]},
-        ],
-    )
-    _, examples, _ = parse_squad(raw)
-    key = examples[0].paragraph.key()
-    pred = AnswerSpan(0, 2, 5, 0, 0)  # overlaps gold (1,2) by 1 and gold (3,5) by 3
-    out, _ = make_noisy_training_set(examples, {key: [pred]})
-    assert out[-1].gold_question == ["second", "?"]
-
-
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_noisy_size_matches_overlap_count(data):
-    n_tokens = 12
-    text = " ".join(chr(ord("a") + i) for i in range(n_tokens)) + "."
-    g_start = data.draw(st.integers(0, n_tokens - 1))
-    g_end = data.draw(st.integers(g_start, n_tokens - 1))
-    answer = " ".join(chr(ord("a") + i) for i in range(g_start, g_end + 1))
-    raw = minimal_squad(text, [{"id": "1", "question": "Q?", "answers": [{"text": answer, "answer_start": 2 * g_start}]}])
-    _, examples, _ = parse_squad(raw)
-    ex = examples[0]
-    preds = []
-    for _ in range(data.draw(st.integers(0, 5))):
-        s = data.draw(st.integers(0, n_tokens - 1))
-        e = data.draw(st.integers(s, n_tokens - 1))
-        preds.append(AnswerSpan(0, s, e, 0, 0))
-    out, report = make_noisy_training_set([ex], {ex.paragraph.key(): preds})
-    expected = {
-        (p.token_start, p.token_end)
-        for p in preds
-        if (p.token_start, p.token_end) != (g_start, g_end)
-        and set(range(p.token_start, p.token_end + 1)) & set(range(g_start, g_end + 1))
-    }
-    assert report.added == len(expected)
-    assert len(out) == 1 + len(expected)

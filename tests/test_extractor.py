@@ -25,7 +25,7 @@ from qaharvest.extractor import (
 )
 from qaharvest.extractor.train import dev_exact_f1
 from qaharvest.numerics import Parameter, RngState, Tensor, grad_check
-from synth import brute_best, brute_log_z, crf_path_score, number_paragraphs, random_crf_instance
+from synth import brute_best, brute_log_z, crf_all_paths, crf_path_score, number_paragraphs, random_crf_instance
 
 TAG_ID = {t: i for i, t in enumerate(ANSWER_TAGS)}
 
@@ -201,14 +201,59 @@ def test_crf_score_includes_boundaries():
 
 def test_crf_shape_validation():
     P = Tensor(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not fit"):
         crf_nll(P, Tensor(np.zeros((4, 4))), [0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="length"):
         crf_nll(P, Tensor(np.zeros((5, 5))), [0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         crf_nll(P, Tensor(np.zeros((5, 5))), [0, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty"):
         crf_nll(Tensor(np.zeros((0, 3))), Tensor(np.zeros((5, 5))), [])
+
+
+def test_crf_nll_is_one_tape_node():
+    P = Parameter("P", np.zeros((3, 3)))
+    A = Parameter("A", np.zeros((5, 5)))
+    loss = crf_nll(P, A, [0, 1, 2])
+    assert loss._parents == (P, A)
+
+
+def crf_counts(path, n, k):
+    """Emission and transition feature counts of one tag path."""
+    cp, ca = np.zeros((n, k)), np.zeros((k + 2, k + 2))
+    cp[np.arange(n), list(path)] = 1.0
+    for a, b in zip((k,) + tuple(path), tuple(path) + (k + 1,)):
+        ca[a, b] += 1.0
+    return cp, ca
+
+
+def test_crf_nll_gradient_is_expected_minus_gold_counts():
+    rng = RngState(14)
+    k = 3
+    for n in (1, 2, 3, 4):  # n = 1 has no token-to-token transition
+        P_arr, A_arr = random_crf_instance(rng, n, k)
+        tags = [rng.next_below(k) for _ in range(n)]
+        log_z = brute_log_z(P_arr, A_arr)
+        gold_p, gold_a = crf_counts(tags, n, k)
+        want_p, want_a = -gold_p, -gold_a
+        for path, score in crf_all_paths(P_arr, A_arr):
+            cp, ca = crf_counts(path, n, k)
+            want_p += math.exp(score - log_z) * cp
+            want_a += math.exp(score - log_z) * ca
+        P, A = Parameter("P", P_arr), Parameter("A", A_arr)
+        crf_nll(P, A, tags).backward()
+        assert np.abs(P.grad - want_p).max() <= 1e-12
+        assert np.abs(A.grad - want_a).max() <= 1e-12
+
+
+def test_crf_nll_loss_bits_pinned():
+    # float.hex() of the loss, recorded from the tape composition this node replaced
+    pinned = {(31, 1): "0x1.619d46b214a1ep+2", (32, 9): "0x1.513cd04bc4cddp+3", (33, 130): "0x1.dafd781232f79p+7"}
+    for (seed, n), want in pinned.items():
+        rng = RngState(seed)
+        P_arr, A_arr = random_crf_instance(rng, n, 3)
+        tags = [rng.next_below(3) for _ in range(n)]
+        assert crf_nll(Tensor(P_arr), Tensor(A_arr), tags).item().hex() == want
 
 
 def test_crf_forward_matches_enumeration():
@@ -221,8 +266,6 @@ def test_crf_forward_matches_enumeration():
 
 
 def test_crf_path_probabilities_sum_to_one():
-    from synth import crf_all_paths
-
     rng = RngState(12)
     for _ in range(40):
         n = 1 + rng.next_below(4)

@@ -23,10 +23,8 @@ from qaharvest.numerics import (
     dot,
     dropout_mask,
     exp,
-    gather2d,
     grad_check,
     log,
-    logsumexp,
     lstm_rows,
     lstm_step,
     matvec_rows,
@@ -38,10 +36,8 @@ from qaharvest.numerics import (
     scatter_add,
     sgd_step,
     sigmoid,
-    slice2d,
     softmax,
     softmax_rows,
-    stack,
     tanh,
     tsum,
 )
@@ -217,12 +213,6 @@ def test_matvec_rows_concurrent_callers(matvec_workers, monkeypatch):
         assert all(np.array_equal(r, ref) for r in got[i])
 
 
-def test_logsumexp_matches_direct():
-    x = np.array([0.5, -1.0, 2.0])
-    got = logsumexp(Tensor(x)).item()
-    assert got == pytest.approx(np.log(np.exp(x).sum()), abs=1e-12)
-
-
 def test_broadcast_add_gradient():
     a = Parameter("a", np.ones((3, 4)))
     b = Parameter("b", np.ones(4))
@@ -249,8 +239,6 @@ def test_indexing_ops_roundtrip_values():
     assert np.array_equal(row(m, 1).data, [4.0, 5.0, 6.0, 7.0])
     assert pick(Tensor([5.0, 7.0]), 1).item() == 7.0
     assert np.array_equal(narrow(Tensor([0.0, 1.0, 2.0, 3.0]), 1, 2).data, [1.0, 2.0])
-    assert np.array_equal(slice2d(m, 1, 3, 0, 2).data, [[4.0, 5.0], [8.0, 9.0]])
-    assert np.array_equal(gather2d(m, [0, 2], [1, 3]).data, [1.0, 11.0])
     assert np.array_equal(pad_to(Tensor([1.0, 2.0]), 4).data, [1.0, 2.0, 0.0, 0.0])
 
 
@@ -328,9 +316,7 @@ def test_grad_check_composite_ops():
         scores = w @ v
         p = softmax(scores)
         ctx = concat([p, relu(v)])
-        return tsum(ctx * ctx) + logsumexp(stack([scores, scores * 2.0]), axis=1).data.sum() * 0.0 + tsum(
-            logsumexp(stack([scores, scores * 2.0]), axis=1)
-        )
+        return tsum(ctx * ctx)
 
     err = grad_check(loss, [w, v], eps=1e-5)
     assert err < 1e-6

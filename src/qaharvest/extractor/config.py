@@ -25,9 +25,10 @@ class ExtractorConfig(JsonConfig):
     lr: float = 0.5
     epochs: int = 15
     init_scale: float = 0.1
-    # the emission rows feed the CRF as per-token probability vectors;
-    # turning this off feeds raw logits instead (the conventional setup)
-    normalize_emissions: bool = True
+    # emissions are always raw scores and True is refused; the field stays
+    # because saved extractor checkpoints, the benchmark's fixture among
+    # them, embed it as false, and the fixture script passes it by name
+    normalize_emissions: bool = False
     stop_at_f1: float | None = None
     seed: int = 0
 
@@ -37,16 +38,17 @@ class ExtractorConfig(JsonConfig):
         self._require(counts, lambda v: v >= 1, ">= 1")
         self._require(("lr",), lambda v: v > 0, "> 0")
         self._require(("dropout",), lambda v: 0 <= v < 1, "in [0, 1)")
+        self._require(("normalize_emissions",), lambda v: not v, "false (probability-row emissions were removed)")
 
     @classmethod
     def desk(cls, **overrides) -> "ExtractorConfig":
         """Small dims for laptop-speed experiments and the overfit checks.
 
         Tiny corpora need per-paragraph updates, a gentler learning
-        rate, and a larger init than the full-scale defaults:
-        probability-row emissions squash gradients, so small-init
-        features start nearly indistinguishable and large steps just
-        make the transition matrix oscillate.
+        rate, and a larger init than the full-scale defaults: with the
+        full-scale ``lr=0.5`` and ``init_scale=0.1``, the four-paragraph
+        overfit check of the tests reached only exact F1 0.27 in 200
+        epochs.
         """
         base = dict(
             word_dim=32,

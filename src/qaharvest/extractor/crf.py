@@ -7,8 +7,9 @@ START = k and STOP = k+1. A path y_1..y_n scores
     q = sum_t P[t, y_t] + A[START, y_1] + sum_t A[y_t, y_{t+1}] + A[y_n, STOP]
 
 and the training loss is -q(gold) + log Z with Z summed over all k^n
-paths by the forward recursion. Emissions may be raw scores or
-probability rows; nothing here assumes either.
+paths by the forward recursion. Emissions are raw scores: adding a
+constant to one token's row shifts every path's score by that constant,
+so neither the loss nor the Viterbi path needs normalized rows.
 
 The loss is one tape node computed on plain arrays. Its gradient is the
 expected feature counts under the model minus the gold path's counts
@@ -36,13 +37,14 @@ __all__ = [
 ]
 
 
-def _arrays(P, A) -> tuple[np.ndarray, np.ndarray]:
+def _arrays(P, A, allow_empty: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Emissions and transitions as float arrays, checked to fit."""
     P = P.data if isinstance(P, Tensor) else np.asarray(P, dtype=np.float64)
     A = A.data if isinstance(A, Tensor) else np.asarray(A, dtype=np.float64)
     n, k = P.shape
     if A.shape != (k + 2, k + 2):
         raise ValueError(f"transition matrix {A.shape} does not fit k={k} tags")
-    if n == 0:
+    if n == 0 and not allow_empty:
         raise ValueError("empty sequence")
     return P, A
 
@@ -123,11 +125,8 @@ def viterbi(P, A) -> tuple[list[int], float]:
     Backpointer ties go to the lowest tag index. An empty input decodes
     to the empty sequence, scoring just the START->STOP transition.
     """
-    P = P.data if isinstance(P, Tensor) else np.asarray(P, dtype=np.float64)
-    A = A.data if isinstance(A, Tensor) else np.asarray(A, dtype=np.float64)
+    P, A = _arrays(P, A, allow_empty=True)
     n, k = P.shape
-    if A.shape != (k + 2, k + 2):
-        raise ValueError(f"transition matrix {A.shape} does not fit k={k} tags")
     start, stop = k, k + 1
     if n == 0:
         return [], float(A[start, stop])

@@ -3,11 +3,11 @@
 Every paragraph token is embedded as the concatenation of its word
 embedding, a character-level representation (final states of a char
 BiLSTM over the word), and a coarse NER-tag embedding. A stack of
-bidirectional LSTM layers turns these into per-token tag scores, by
-default softmax-normalized per token, which a linear-chain CRF scores
-jointly with a learned transition matrix. Decoding is Viterbi followed
-by BIO span parsing; spans that would cross a sentence boundary are
-dropped and counted rather than emitted.
+bidirectional LSTM layers turns these into raw per-token tag scores,
+which a linear-chain CRF scores jointly with a learned transition
+matrix. Decoding is Viterbi followed by BIO span parsing; spans that
+would cross a sentence boundary are dropped and counted rather than
+emitted.
 
 Prediction builds no autodiff tape: ``emission_rows`` computes the
 emissions on plain arrays through ``bilstm_rows``, running the char
@@ -38,8 +38,6 @@ from ..numerics import (
     matmul,
     matvec_rows,
     row,
-    softmax_rows,
-    stable_softmax,
     stack,
 )
 from .config import ExtractorConfig
@@ -131,7 +129,7 @@ class ExtractorModel:
     def emissions(
         self, surfaces: list[str], ner_tags: list[str], train: bool = False, rng: RngState | None = None
     ) -> Tensor:
-        """Per-token tag scores, n x k; probability rows by default."""
+        """Raw per-token tag scores, n x k: the CRF's emissions."""
         if not surfaces:
             raise ValueError("empty sequence")
         seq = self.token_inputs(surfaces, ner_tags, train, rng)
@@ -139,8 +137,7 @@ class ExtractorModel:
             fwd, bwd, _, _ = bilstm(seq, fwd_cell, bwd_cell)
             out = [concat([f, b]) for f, b in zip(fwd, bwd)]
             seq = [apply_dropout(r, rng, self.config.dropout, train) for r in out]
-        logits = stack([add(matmul(self.emit_proj, z), self.emit_bias) for z in seq])
-        return softmax_rows(logits) if self.config.normalize_emissions else logits
+        return stack([add(matmul(self.emit_proj, z), self.emit_bias) for z in seq])
 
     def emission_rows(self, surfaces: list[str], ner_tags: list[str]) -> np.ndarray:
         """``emissions`` with dropout off, on plain arrays and bit for bit.
@@ -172,8 +169,7 @@ class ExtractorModel:
         for fwd_cell, bwd_cell in self.layers:
             fwd, bwd, _, _ = bilstm_rows(seq[None], fwd_cell, bwd_cell)
             seq = np.concatenate([fwd[0], bwd[0]], axis=1)
-        logits = matvec_rows(self.emit_proj.data, seq) + self.emit_bias.data
-        return stable_softmax(logits) if self.config.normalize_emissions else logits
+        return matvec_rows(self.emit_proj.data, seq) + self.emit_bias.data
 
     # ------------------------------------------------------- loss / decode
 

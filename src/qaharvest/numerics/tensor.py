@@ -42,7 +42,6 @@ __all__ = [
     "tsum",
     "dot",
     "softmax",
-    "softmax_rows",
     "concat",
     "stack",
     "row",
@@ -412,7 +411,7 @@ def softmax(x) -> Tensor:
     """Stable softmax of a vector; shift-invariant, sums to one."""
     x = as_tensor(x)
     if x.data.ndim != 1:
-        raise ValueError("softmax expects a vector; use softmax_rows for matrices")
+        raise ValueError("softmax expects a vector")
     if x.data.size == 0:
         raise ValueError("empty distribution")
     out = stable_softmax(x.data)
@@ -421,24 +420,6 @@ def softmax(x) -> Tensor:
         accum(x, out * (g - float(g @ out)))
 
     return node(out, (x,), backward)
-
-
-def softmax_rows(x) -> Tensor:
-    """Row-wise stable softmax of a matrix."""
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ValueError("softmax_rows expects a matrix")
-    if x.data.shape[1] == 0:
-        raise ValueError("empty distribution")
-    out = stable_softmax(x.data)
-
-    def backward(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
-        accum(x, out * (g - inner))
-
-    return node(out, (x,), backward)
-
-
 
 
 def concat(parts) -> Tensor:

@@ -13,7 +13,7 @@ from qaharvest.corpus import build_vocab
 from qaharvest.extractor import ExtractorConfig
 from qaharvest.generator import GeneratorConfig
 from qaharvest.numerics import ParameterStore
-from qaharvest.pipeline import PipelineConfig, load_generator, span_record, write_span_records
+from qaharvest.pipeline import PipelineConfig, load_extractor, load_generator, span_record, write_span_records
 from synth import number_paragraphs, squad_json
 
 
@@ -424,6 +424,18 @@ def test_harvest_checkpoint_config_bad_field_exits_2(tmp_path, corpus_file, caps
     resave_qg_config(out, **changes)
     argv = ["harvest", "--config", str(cfg_path), "--data", corpus_file, "--out", str(tmp_path / "r.jsonl")]
     assert_one_line_usage_error(argv, capsys, "qg.ckpt", needle)
+
+
+def test_harvest_extractor_probability_rows_exits_2(tmp_path, corpus_file, capsys):
+    out = train_tiny(tmp_path, corpus_file)
+    cfg_path = pipeline_config(tmp_path, out)
+    # an extractor saved while probability-row emissions were an option
+    meta = ParameterStore.read_manifest(out / "ext.ckpt")["meta"]
+    meta["config"]["normalize_emissions"] = True
+    model = load_extractor(out / "ext.ckpt", out / "ext_word_vocab.json", out / "ext_char_vocab.json")
+    model.store.save(out / "ext.ckpt", meta=meta)
+    argv = ["harvest", "--config", str(cfg_path), "--data", corpus_file, "--out", str(tmp_path / "r.jsonl")]
+    assert_one_line_usage_error(argv, capsys, "ext.ckpt", "normalize_emissions")
 
 
 def test_harvest_checkpoint_without_config_exits_2(tmp_path, corpus_file, capsys):

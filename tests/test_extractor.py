@@ -125,26 +125,30 @@ def test_char_rep_empty_word_rejected():
 
 
 def test_emissions_zero_params_uniform():
+    # all-zero scores: every one of the 3^n tag paths is equally likely
     model = tiny_model()
     for p in model.store:
         p.data[...] = 0.0
-    P = model.emissions(["alice", "earned", "42"], ["PER", "O", "NUM"])
+    surfaces, ner = ["alice", "earned", "42"], ["PER", "O", "NUM"]
+    P = model.emissions(surfaces, ner)
     assert P.data.shape == (3, 3)
-    assert np.allclose(P.data, 1.0 / 3.0, atol=1e-15)
-
-
-def test_emissions_rows_are_probabilities():
-    model = tiny_model(seed=9)
-    P = model.emissions(["alice", "earned", "42", "points"], ["PER", "O", "NUM", "O"])
-    assert P.data.shape == (4, 3)
-    assert np.allclose(P.data.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(P.data > 0.0)
+    assert np.all(P.data == 0.0)
+    assert np.all(model.emission_rows(surfaces, ner) == 0.0)
+    ex = make_extractor_example(paragraph_from_text("z", 0, "Alice earned 42."), [])
+    assert model.nll(ex).item() == pytest.approx(len(ex.tags) * math.log(3.0), rel=1e-12)
 
 
 def test_emissions_raw_logits_flag():
-    model = tiny_model(seed=9, normalize_emissions=False)
+    model = tiny_model(seed=9)
     P = model.emissions(["alice", "earned"], ["PER", "O"])
     assert not np.allclose(P.data.sum(axis=1), 1.0, atol=1e-6)
+
+
+def test_probability_row_emissions_refused():
+    with pytest.raises(ValueError, match="normalize_emissions"):
+        ExtractorConfig(normalize_emissions=True)
+    with pytest.raises(ValueError, match="normalize_emissions"):
+        ExtractorConfig.from_dict({"normalize_emissions": True})
 
 
 def test_emissions_misaligned_rejected():
@@ -154,10 +158,9 @@ def test_emissions_misaligned_rejected():
         tiny_model().emissions([], [])
 
 
-@pytest.mark.parametrize("normalize", [True, False])
 @pytest.mark.parametrize("depth", [1, 2])
-def test_emission_rows_match_tape_emissions_bitwise(normalize, depth):
-    model = tiny_model(seed=5, normalize_emissions=normalize, depth=depth, init_scale=1.0)
+def test_emission_rows_match_tape_emissions_bitwise(depth):
+    model = tiny_model(seed=5, depth=depth, init_scale=1.0)
     # repeated surfaces, one-character words, and "%" outside the char vocab
     surfaces = ["alice", "earned", "42", "q", "points", "alice", "%x", ".", "42", "austin"]
     ner = ["PER", "O", "NUM", "O", "O", "PER", "O", "O", "NUM", "LOC"]
@@ -286,6 +289,20 @@ def test_crf_nll_nonnegative_and_gold_dominated():
         loss = crf_nll(Tensor(P_arr), Tensor(A_arr), tags).item()
         assert loss >= -1e-10
         assert math.exp(-loss) <= 1.0 + 1e-12
+
+
+def test_crf_row_shift_leaves_nll_and_viterbi():
+    # every path visits each token once, so a constant added to one
+    # token's row shifts every path score alike: rows need no softmax
+    rng = RngState(16)
+    for n in (1, 2, 5, 40):
+        P_arr, A_arr = random_crf_instance(rng, n, 3)
+        tags = [rng.next_below(3) for _ in range(n)]
+        shifted = P_arr.copy()
+        shifted[rng.next_below(n)] += 3.5
+        want = crf_nll(Tensor(P_arr), Tensor(A_arr), tags).item()
+        assert crf_nll(Tensor(shifted), Tensor(A_arr), tags).item() == pytest.approx(want, rel=1e-12)
+        assert viterbi(shifted, A_arr)[0] == viterbi(P_arr, A_arr)[0]
 
 
 def test_crf_gradients():

@@ -37,7 +37,6 @@ from qaharvest.numerics import (
     sgd_step,
     sigmoid,
     softmax,
-    softmax_rows,
     tanh,
     tsum,
 )
@@ -128,14 +127,6 @@ def test_softmax_sums_to_one_and_shift_invariant(vals, shift):
     assert abs(base.sum() - 1.0) <= 1e-12
     assert np.all(base >= 0)
     assert np.allclose(base, shifted, atol=1e-12)
-
-
-def test_softmax_rows_equal_vector_softmax_bitwise():
-    rng = RngState(8)
-    m = rng.uniform(-30.0, 30.0, (5, 1031))
-    rows = softmax_rows(Tensor(m)).data
-    for r, want in zip(m, rows):
-        assert np.array_equal(softmax(Tensor(r)).data, want)
 
 
 @pytest.mark.parametrize("n_rows", [1, 3, 64, 65, 129, 200, 513, 1025])

@@ -223,7 +223,7 @@ def test_report_counts_batched_decode_steps():
 def test_harvest_builds_no_tape(monkeypatch):
     paras = number_paragraphs(2)
     surfaces = [t.surface for p, _ in paras for s in p.sentences for t in s]
-    cfg = ExtractorConfig.desk(normalize_emissions=False)
+    cfg = ExtractorConfig.desk()
     extractor = ExtractorModel(cfg, build_vocab(surfaces, 100), build_vocab(list("".join(surfaces)), 100), RngState(2))
     # every token tags B_ANS, so every paragraph yields spans to decode
     extractor.emit_bias.data[ANSWER_TAGS.index(B_ANS)] = 100.0
@@ -396,8 +396,8 @@ def test_load_extractor_restores_model(tmp_path):
 
 
 def test_load_extractor_refuses_checkpoint_without_config(tmp_path):
-    # desk dims: the desk preset's shapes fit, but not its emissions
-    _, paths = saved_extractor(tmp_path, ExtractorConfig.desk(normalize_emissions=False), None)
+    # desk dims: the desk preset's shapes would fit
+    _, paths = saved_extractor(tmp_path, ExtractorConfig.desk(), None)
     with pytest.raises(ValueError, match="no embedded ExtractorConfig"):
         load_extractor(*paths)
 
